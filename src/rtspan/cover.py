@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .estimate import estimate_ball_fractions
+from .estimate import _RowStore, estimate_ball_fractions
 from .graph import IN, OUT, Graph, round_trip_ball, vertex_ids
 from .partition import cluster
 
@@ -73,12 +73,16 @@ def _ceil_root(s: int, k: int) -> int:
 
 
 def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams | None = None,
-                    rng: random.Random | None = None) -> Cover:
+                    rng: random.Random | None = None, *, _root_rows: _RowStore | None = None) -> Cover:
     """One randomized carve-or-partition run over G(restrict).
 
     Emits disjoint balls of round-trip radius at most 2(c+1)*r such that,
     with the guaranteed probability, every source stays together with its
     near vertices in some ball.  sources must be a subset of restrict.
+
+    _root_rows is internal: a distance row store over restrict, handed to
+    the estimate of the whole working set so that runs over one set share
+    their searches.
     """
     if params is None:
         params = CoverParams()
@@ -94,18 +98,21 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
 
     balls = []
     failures = []
-    deepest = [0]
-
-    def rec(verts, S, depth):
-        if depth > deepest[0]:
-            deepest[0] = depth
+    deepest = 0
+    # Depth-first over working sets; children are pushed in reverse so
+    # they pop in order, which keeps the rng draws in recursion order.
+    stack = [(base, S0, 1)]
+    while stack:
+        verts, S, depth = stack.pop()
+        deepest = max(deepest, depth)
         if not verts or not S:
-            return
+            continue
         if len(S) == 1:
             (u,) = S
             balls.append(round_trip_ball(g, verts, u, r))
-            return
-        est = estimate_ball_fractions(g, verts, c * r, params.epsilon, verts, rng)
+            continue
+        est = estimate_ball_fractions(g, verts, c * r, params.epsilon, verts, rng,
+                                      _rows=_root_rows if verts is base else None)
         u_out = {u for u in verts if est.f_out(u) >= 0.75}
         u_in = {u for u in verts if est.f_in(u) >= 0.75}
         core = u_out & u_in
@@ -115,13 +122,13 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
                 # estimates disagree with themselves; bail out with one
                 # unguaranteed part rather than mis-carve
                 failures.append(frozenset(verts))
-                return
+                continue
             u = min(core)
             ru = rng.uniform(2 * c * r, 2 * (c + 1) * r)
             b = round_trip_ball(g, verts, u, ru)
             balls.append(b)
-            rec(verts - b.members, S - b.members, depth + 1)
-            return
+            stack.append((verts - b.members, S - b.members, depth + 1))
+            continue
         if len(u_out) <= nv / 2:
             part = cluster(g, verts, sorted(verts - u_out), r, len(S), OUT, rng)
         else:
@@ -129,11 +136,8 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
         pieces = part.parts()
         if max(len(p) for p in pieces) > 7 * nv / 8:
             failures.append(frozenset(verts))
-            return
-        for p in pieces:
-            rec(frozenset(p), S & p, depth + 1)
-
-    rec(base, S0, 1)
+            continue
+        stack.extend((frozenset(p), S & p, depth + 1) for p in reversed(pieces))
 
     total = sum(len(b.members) for b in balls) + sum(len(f) for f in failures)
     seen = set()
@@ -144,7 +148,7 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
     assert len(seen) == total, "carved parts must be disjoint within one run"
 
     return Cover(tuple(balls), tuple(failures), float(r), params,
-                 max_depth=deepest[0])
+                 max_depth=deepest)
 
 
 def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None = None,
@@ -155,6 +159,13 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     trial_mult * c * ceil(s^(1/k)) * ceil(ln n) independent recursion
     runs, each seeded from its own child stream so the trial count can
     change without disturbing earlier trials.
+
+    Every run starts from the full vertex set, so the runs share one
+    store of distance rows over it: each (direction, source) row of the
+    first estimate is searched once per cover instead of once per trial.
+    Each estimate still asks for at most min(n, t) rows, as the paper's
+    per-estimate search bound assumes; later working sets are subgraphs
+    with their own distances and are searched afresh.
     """
     if params is None:
         params = CoverParams()
@@ -177,12 +188,13 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     trials = params.trial_mult * params.c * _ceil_root(s, k) * max(1, math.ceil(math.log(n)))
 
     base = rng.getrandbits(64)
+    root_rows = _RowStore(g, vertex_ids(g, allv))
     balls = []
     failures = []
     deepest = 0
     for i in range(trials):
         sub = random.Random(f"{base}:{i}")
-        one = recursive_cover(g, allv, r, S, params, sub)
+        one = recursive_cover(g, allv, r, S, params, sub, _root_rows=root_rows)
         balls.extend(one.balls)
         failures.extend(one.failure_parts)
         if one.max_depth > deepest:

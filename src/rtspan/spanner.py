@@ -5,8 +5,8 @@ covers".  The scale construction contracts the graph to one weight window
 per scale, covers each window, and maps tree edges back; the bottleneck
 certificate set rides along so cheap cycles survive contraction.  The
 weighted construction skips contraction and simply covers every distance
-scale of the full graph; it expects weights at least 1, so callers with
-smaller weights should rescale first (the command line tool does).
+scale of the full graph; it rejects weights below 1, so callers with
+smaller weights rescale first (the command line tool does).
 """
 
 from __future__ import annotations
@@ -110,10 +110,13 @@ def swrt_spanner_weighted(g: Graph, k: int, sources, params: CoverParams | None 
     """Build a source-wise round-trip spanner by covering every distance
     scale of the full graph, radius 2^i for i up to log2(2 n w_max).
 
-    Assumes every weight is at least 1; smaller weights leave short
-    round trips below the first scale uncovered, so rescale them first.
+    Every weight must be at least 1: the first scale has radius 2, so
+    shorter round trips would stay uncovered.  Rescale smaller weights
+    first; stretch is scale-free.
     """
     src = _check_inputs(g, k, sources, rng)
+    if g.m > 0 and min(w for _, _, w in g.edges) < 1.0:
+        raise ValueError("weights must be at least 1; rescale them first")
     params = params if params is not None else CoverParams()
     provenance = {}
     rows = []

@@ -112,6 +112,21 @@ class TestSpanner:
         assert code == 0
         assert json.loads(out)["mode"] == "weighted"
 
+    def test_weighted_variant_rescales_weights_below_one(self, tmp_path, capsys):
+        import random
+        from rtspan.graph import write_edge_list
+        g = generate_graph(14, 50, random.Random("cli-small-weights"), w_min=0.125,
+                           w_max=0.875, strongly_connected=True)
+        path = tmp_path / "small.txt"
+        path.write_text(write_edge_list(g))
+        code, out, _ = run(capsys, "spanner", "--input", str(path),
+                           "--sources", "3", "--weighted-variant", "--verify",
+                           "--format", "json-stats")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["weight_scale"] == 8.0
+        assert doc["stretch"]["passed"] is True
+
     def test_sources_file(self, graph_file, tmp_path, capsys):
         src = tmp_path / "src.txt"
         src.write_text("3 0\n11\n")

@@ -1,10 +1,13 @@
+import gc
 import math
 import random
+from collections import Counter
 
 import pytest
 
 import rtspan.cover as cover_mod
-from conftest import random_graph
+import rtspan.estimate as est_mod
+from conftest import random_graph, ring_with_chords
 from rtspan.cover import Cover, CoverParams, _ceil_root, recursive_cover, swrt_cover
 from rtspan.graph import IN, OUT, Graph, edge_subgraph, round_trip_ball, sssp
 from rtspan.partition import Cluster, Partition
@@ -189,6 +192,38 @@ class TestSwrtCover:
         a = swrt_cover(g, 3, 1.0, [0, 4], rng=random.Random(9))
         b = swrt_cover(g, 3, 1.0, [0, 4], rng=random.Random(9))
         assert a == b
+
+    def test_trials_share_root_rows(self, monkeypatch):
+        # every carve here takes the whole set, so each of the 32 trials
+        # estimates over all 24 vertices; each row is still searched once
+        g = random_graph("sw-rows", 24, 96, strongly_connected=True)
+        searched = Counter()
+        real = est_mod.distance_matrix
+
+        def spy(g_, restrict, sources=None, direction=OUT):
+            searched.update((tuple(restrict), direction, v) for v in sources)
+            return real(g_, restrict, sources=sources, direction=direction)
+
+        monkeypatch.setattr(est_mod, "distance_matrix", spy)
+        cov = swrt_cover(g, 2, 1.0, [0, 5, 11, 19], rng=random.Random(8))
+        assert cov.trials == 32
+        assert len(searched) == 2 * 24
+        assert max(searched.values()) == 1
+
+    def test_runs_leave_no_reference_cycles(self):
+        # a trial's estimates and balls are freed as soon as it ends, not
+        # at the next full collection; the ring makes the partition run
+        grid = random_graph("gc-grid", 20, 80, strongly_connected=True)
+        ring = ring_with_chords("gc-ring", 30, 4)
+        gc.collect()
+        gc.disable()
+        try:
+            recursive_cover(ring, None, 40.0, [0, 8, 19], rng=random.Random(1))
+            swrt_cover(grid, 2, 1.0, [1, 7, 13], rng=random.Random(2))
+            swrt_cover(ring, 2, 1.0, [0, 8, 19], rng=random.Random(3))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_validation(self):
         g = Graph(4, [(0, 1, 1.0)])

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+import rtspan.estimate as est_mod
 from conftest import random_graph
-from rtspan.estimate import FractionEstimates, estimate_ball_fractions, sample_count
-from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp
+from rtspan.estimate import FractionEstimates, _RowStore, estimate_ball_fractions, sample_count
+from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp, vertex_ids
 
 
 class TestSampleCount:
@@ -125,3 +126,51 @@ class TestEstimate:
             estimate_ball_fractions(g, [], 1.0, 0.5, [], rng)
         with pytest.raises(ValueError, match="not inside"):
             estimate_ball_fractions(g, [0, 1], 1.0, 0.5, [2], rng)
+
+
+class TestSharedRows:
+    # (r, epsilon, centers, seed): eps 0.9 draws t = 23 samples, so a query
+    # of every vertex searches from the sample side; a query of a few
+    # vertices, or eps 0.25 with its hundreds of samples, from the query side
+    CASES = [
+        (2.0, 0.9, "all", 1),
+        (1.0, 0.9, "all", 2),
+        (2.0, 0.9, "few", 3),
+        (4.0, 0.5, "few", 4),
+        (1.5, 0.25, "all", 5),
+        (2.5, 0.9, "all", 6),
+        (2.0, 0.25, "few", 7),
+    ]
+
+    @pytest.mark.parametrize("restrict", [None, range(0, 40, 2), range(5, 36)],
+                             ids=["whole", "evens", "middle"])
+    def test_shared_store_equals_fresh_estimates(self, restrict, monkeypatch):
+        g = random_graph("est-rows", 40, 170)
+        verts = vertex_ids(g, restrict)
+        queries = {"all": verts, "few": verts[1::7]}
+        fresh = [estimate_ball_fractions(g, restrict, r, eps, queries[q], random.Random(seed))
+                 for r, eps, q, seed in self.CASES]
+
+        searched = []
+        real = est_mod.distance_matrix
+
+        def spy(g_, restrict_, sources=None, direction=OUT):
+            searched.extend((direction, v) for v in sources)
+            return real(g_, restrict_, sources=sources, direction=direction)
+
+        monkeypatch.setattr(est_mod, "distance_matrix", spy)
+        store = _RowStore(g, verts)
+        for (r, eps, q, seed), want in zip(self.CASES, fresh):
+            got = estimate_ball_fractions(g, restrict, r, eps, queries[q], random.Random(seed),
+                                          _rows=store)
+            assert got == want  # t, sample, out_counts, in_counts and all
+        # every row is searched once, and only rows over the queried sides
+        assert len(searched) == len(set(searched))
+        assert {v for _, v in searched} <= set(verts)
+        assert {d for d, _ in searched} == {OUT, IN}
+
+    def test_store_of_another_working_set_rejected(self):
+        g = random_graph("est-rows", 40, 170)
+        store = _RowStore(g, vertex_ids(g, range(10)))
+        with pytest.raises(ValueError, match="another working set"):
+            estimate_ball_fractions(g, None, 1.0, 0.5, [0], random.Random(0), _rows=store)
