@@ -2,11 +2,14 @@
 
 The bottleneck round-trip distance of two vertices is the smallest weight
 threshold at which they become mutually reachable using only edges at or
-below it.  Sweeping thresholds upward and merging strongly connected
-super-nodes yields a dendrogram (MergeTree) whose LCA labels realize that
-distance in O(1) per query, plus a small certificate edge set that
-preserves it.  Contraction cuts a graph down to one weight window so each
-distance scale works on a small graph.
+below it.  Merging strongly connected super-nodes as the threshold rises
+yields a dendrogram (MergeTree) whose LCA labels realize that distance in
+O(1) per query, plus a small certificate edge set that preserves it.  The
+merges are found by an offline incremental-SCC divide and conquer over
+the ranks of the distinct weights, O(m log m) SCC work rather than one
+SCC pass per distinct weight; internal nodes that form at one weight are
+numbered in min_leaf order.  Contraction cuts a graph down to one weight
+window so each distance scale works on a small graph.
 """
 
 from __future__ import annotations
@@ -202,13 +205,26 @@ def _span_arcs(root, nodes, adj):
 def linfty_merge_tree(g: Graph):
     """Build the merge tree plus its certificate edge set.
 
-    Distinct weights are processed ascending, each weight class as one
-    batch.  Whenever super-nodes become strongly connected at threshold w,
-    they merge under an internal node labeled w, and the certificate set
-    gains an out-tree plus an in-tree over the merged children (arcs at or
-    below w), at most 2*(children-1) original edges per merge.  Returns
-    (MergeTree, frozenset of certificate edge indexes); the certificate
-    subgraph reproduces every bottleneck round-trip distance exactly.
+    An arc's merge rank is the rank, among the distinct weights, of the
+    smallest threshold w at or above its own weight at which its
+    endpoints are strongly connected.  An offline incremental-SCC divide
+    and conquer finds every merge rank.  A rank range [lo, hi] holds the
+    arcs still undecided, endpoints mapped to the super-nodes formed
+    below lo; the SCCs of those at rank <= mid send each arc to
+    [lo, mid] (joined by mid) or [mid+1, hi].  Ranges are settled lowest
+    first from an explicit stack, so each arc takes part in at most one
+    SCC pass per level and one at its leaf: O(m log m) SCC work in all.
+
+    At a leaf rank with threshold w, the arcs there that still join
+    distinct super-nodes lie inside the strong components that form at
+    w, and their weakly connected components are exactly those.  Each
+    one merges under an internal node labeled w, and the certificate set
+    gains an out-tree plus an in-tree over the merged children (arcs at
+    or below w, taken in (weight, edge index) order), at most
+    2*(children-1) original edges per merge.  Internal nodes formed at
+    one weight are numbered in min_leaf order.  Returns (MergeTree,
+    frozenset of certificate edge indexes); the certificate subgraph
+    reproduces every bottleneck round-trip distance exactly.
     """
     n = g.n
     label = [0.0] * n
@@ -223,53 +239,64 @@ def linfty_merge_tree(g: Graph):
             x = uf[x]
         return x
 
+    weights = sorted({w for _, _, w in g.edges})
+    rank = {w: r for r, w in enumerate(weights)}
+    src = [u for u, _, _ in g.edges]
+    dst = [v for _, v, _ in g.edges]
+    erank = [rank[w] for _, _, w in g.edges]
+    order = sorted(range(g.m), key=lambda i: (erank[i], i))
+
     h1 = set()
-    live = []
-    order = sorted(range(g.m), key=lambda i: (g.edges[i][2], i))
-    i = 0
-    while i < len(order):
-        w = g.edges[order[i]][2]
-        while i < len(order) and g.edges[order[i]][2] == w:
-            eidx = order[i]
-            u, v, _ = g.edges[eidx]
-            a, b = find(u), find(v)
-            if a != b:
-                live.append((a, b, eidx))
-            i += 1
-        if not live:
+    never = len(weights)  # merge rank of arcs that never close a cycle
+    # (lo, hi, undecided arcs in (weight, edge index) order)
+    stack = [(0, never, [e for e in order if src[e] != dst[e]])]
+    while stack:
+        lo, hi, arcs = stack.pop()
+        if lo == never:
             continue
-        refreshed = []
-        for a, b, eidx in live:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                refreshed.append((ra, rb, eidx))
-        live = refreshed
-        for comp in _scc_of_arcs(live):
-            oadj = {x: [] for x in comp}
-            iadj = {x: [] for x in comp}
-            for a, b, eidx in live:
-                if a in comp and b in comp:
-                    oadj[a].append((b, eidx))
-                    iadj[b].append((a, eidx))
-            root = min(comp, key=lambda x: min_leaf[x])
-            h1.update(_span_arcs(root, comp, oadj))
-            h1.update(_span_arcs(root, comp, iadj))
+        mapped = []
+        for e in arcs:
+            a, b = find(src[e]), find(dst[e])
+            if a != b:  # else joined below lo, so below this arc's weight
+                mapped.append((a, b, e))
+        if lo < hi:
+            mid = (lo + hi) // 2
+            low = [arc for arc in mapped if erank[arc[2]] <= mid]
+            comp = {x: k for k, nodes in enumerate(_scc_of_arcs(low)) for x in nodes}
+            left = []
+            right = []
+            for a, b, e in mapped:
+                if erank[e] <= mid and a in comp and comp[a] == comp.get(b):
+                    left.append(e)
+                else:
+                    right.append(e)
+            if right:
+                stack.append((mid + 1, hi, right))
+            if left:
+                stack.append((lo, mid, left))
+            continue
+        oadj = {}
+        iadj = {}
+        for a, b, e in mapped:
+            oadj.setdefault(a, []).append((b, e))
+            iadj.setdefault(b, []).append((a, e))
+        comps = [sorted(c, key=min_leaf.__getitem__)
+                 for c in _scc_of_arcs(mapped)]
+        for kids in sorted(comps, key=lambda c: min_leaf[c[0]]):
+            root = kids[0]
+            h1.update(_span_arcs(root, kids, oadj))
+            h1.update(_span_arcs(root, kids, iadj))
             node = len(label)
-            kids = sorted(comp, key=lambda x: min_leaf[x])
-            label.append(w)
+            label.append(weights[lo])
             parent.append(-1)
             children.append(tuple(kids))
-            min_leaf.append(min_leaf[kids[0]])
+            min_leaf.append(min_leaf[root])
             uf.append(node)
             for x in kids:
                 parent[x] = node
                 uf[x] = node
     tree = MergeTree(n, label, parent, children, min_leaf)
     return tree, frozenset(h1)
-
-
-def linfty_distance(tree: MergeTree, u: int, v: int):
-    return tree.distance(u, v)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Fixtures are seeded, so every run sees the same graphs, sources, and
 randomness.  Statistical checks compare an empirical rate against its
 guaranteed bound minus three sigma; exact checks carry no tolerance at
 all (the generated weights live on a 1/16 grid, which keeps every path
-sum bit-exact across independent computations).
+sum bit-exact across independent computations; bottleneck labels are
+single edge weights, so criterion 8 also runs continuous weights).
 """
 
 import math
@@ -223,16 +224,47 @@ def test_c07_per_run_disjointness():
     assert overlaps == 0
 
 
-def test_c08_bottleneck_distance_correctness():
-    t0 = time.perf_counter()
-    lca_bad = 0
-    size_bad = 0
-    preserve_bad = 0
+def _c08_graphs():
+    """(rng, graph) pairs: 1/16-grid weights, where many merges share a
+    weight; continuous weights, one merge per weight; and grid-weight
+    multigraphs with self-loops and parallel edges mixed into the edge
+    order."""
     for i in range(100):
         rng = random.Random(f"crit8:{i}")
         n = rng.randint(4, 100)
         m = min(n * (n - 1), rng.randint(n, 4 * n))
-        g = generate_graph(n, m, rng, strongly_connected=i % 2 == 0)
+        yield rng, generate_graph(n, m, rng, strongly_connected=i % 2 == 0)
+    for i in range(40):
+        rng = random.Random(f"crit8:continuous:{i}")
+        n = rng.randint(4, 100)
+        m = min(n * (n - 1), rng.randint(n, 4 * n))
+        yield rng, generate_graph(n, m, rng, w_min=1.0, w_max=1000.0,
+                                  strongly_connected=i % 2 == 0, quantum=0)
+    for i in range(40):
+        rng = random.Random(f"crit8:multigraph:{i}")
+        n = rng.randint(2, 60)
+        m = min(n * (n - 1), rng.randint(n, 3 * n))
+        base = generate_graph(n, m, rng, strongly_connected=i % 2 == 0)
+        edges = list(base.edges)
+        for _ in range(rng.randint(1, n)):
+            u = rng.randrange(n)
+            edges.append((u, u, rng.randint(16, 32) / 16))
+        for _ in range(rng.randint(1, m)):
+            u, v, w = base.edges[rng.randrange(m)]
+            edges.append((u, v, w if rng.random() < 0.5 else rng.randint(16, 32) / 16))
+        rng.shuffle(edges)
+        yield rng, Graph(n, edges)
+
+
+def test_c08_bottleneck_distance_correctness():
+    t0 = time.perf_counter()
+    graphs = 0
+    lca_bad = 0
+    size_bad = 0
+    preserve_bad = 0
+    for rng, g in _c08_graphs():
+        graphs += 1
+        n = g.n
         tree, h1 = linfty_merge_tree(g)
         mat = oracle_linfty_matrix(g)
         for u in range(n):
@@ -252,7 +284,7 @@ def test_c08_bottleneck_distance_correctness():
                 preserve_bad += 1
     dt = time.perf_counter() - t0
     ok = lca_bad == 0 and size_bad == 0 and preserve_bad == 0
-    record(f"criterion 8: {'PASS' if ok else 'FAIL'} - 100 graphs: "
+    record(f"criterion 8: {'PASS' if ok else 'FAIL'} - {graphs} graphs: "
            f"{lca_bad} label mismatches, {size_bad} oversize certificates, "
            f"{preserve_bad} unpreserved pairs, {dt:.0f}s")
     assert (lca_bad, size_bad, preserve_bad) == (0, 0, 0)

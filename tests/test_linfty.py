@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+import rtspan.linfty
 from conftest import random_graph
+from rtspan.cli import generate_graph
 from rtspan.graph import IN, OUT, UNREACHABLE, Graph, edge_subgraph
 from rtspan.linfty import (
     ContractionBundle,
     build_scales,
     contract,
-    linfty_distance,
     linfty_merge_tree,
 )
 
@@ -91,11 +92,6 @@ class TestMergeTree:
                              strongly_connected=i % 2 == 0)
             assert tree_matrix(g) == brute_linfty_matrix(g)
 
-    def test_linfty_distance_helper(self):
-        g = Graph(2, [(0, 1, 2.0), (1, 0, 2.0)])
-        tree, _ = linfty_merge_tree(g)
-        assert linfty_distance(tree, 0, 1) == 2.0
-
     def test_vertex_range_check(self):
         tree, _ = linfty_merge_tree(Graph(2, []))
         with pytest.raises(ValueError):
@@ -132,6 +128,112 @@ class TestMergeTree:
             assert len(h1) <= 2 * (g.n - 1)
             sub = edge_subgraph(g, h1)
             assert tree_matrix(sub) == tree_matrix(g)
+
+
+# Recorded from the per-weight sweep the merge tree used to run: the
+# divide and conquer must reproduce it.  With continuous weights at most
+# one component forms per weight, so the whole tree is pinned.
+GOLDEN_CONT_H1 = (
+    6, 9, 11, 12, 15, 20, 21, 29, 34, 39, 48, 57, 60, 61, 64, 70, 73, 74, 76,
+    79, 80, 81, 83, 84, 85, 87, 90, 91, 94, 95, 96, 97, 99, 100, 101, 108, 111,
+    112, 115, 116, 118, 121, 126, 128, 129, 130, 131, 135, 136, 139, 141, 145,
+    151, 153, 155, 157, 158, 159, 160, 161, 166, 170, 172, 180, 187, 188, 192,
+    196, 198, 200, 202, 206, 209, 210, 211, 212, 214, 215, 217, 218, 221, 222,
+    224, 228, 230, 231, 232, 236, 237, 238,
+)
+GOLDEN_CONT_LABEL = (
+    228.9224831737626, 328.39611879132406, 330.89682431763134,
+    380.63326592453643, 383.1013780854217, 404.25135523410887,
+    417.20602991149866, 418.75629364226944, 424.10909495123576,
+    496.3336861244179, 502.64186898805065, 510.6876567556045,
+    560.4632670894567, 565.0714892096665, 567.8295149664157, 677.3198235572687,
+    726.7534159145221, 729.5441448674896, 745.5281762557416, 849.7599164979246,
+    968.6998127072324,
+)
+GOLDEN_CONT_PARENT = (
+    63, 78, 63, 69, 78, 75, 61, 65, 67, 68, 75, 69, 68, 79, 60, 62, 65, 74, 60,
+    69, 60, 69, 64, 65, 67, 60, 71, 60, 67, 71, 70, 80, 74, 63, 70, 70, 73, 69,
+    76, 72, 70, 78, 70, 74, 78, 70, 67, 63, -1, 67, 69, -1, 61, 64, 63, 65, 61,
+    74, 77, 65, 62, 66, 63, 67, 74, 66, 74, 68, 70, 70, 71, 72, 73, 74, 75, 76,
+    77, 78, 79, 80, -1,
+)
+GOLDEN_CONT_CHILDREN = (
+    (14, 18, 20, 25, 27), (6, 52, 56), (60, 15), (0, 2, 62, 33, 47, 54),
+    (22, 53), (7, 16, 23, 55, 59), (61, 65), (63, 8, 24, 28, 46, 49),
+    (67, 9, 12), (3, 11, 19, 21, 37, 50), (68, 69, 30, 34, 35, 40, 42, 45),
+    (70, 26, 29), (71, 39), (72, 36), (73, 66, 17, 64, 32, 43, 57),
+    (74, 5, 10), (75, 38), (76, 58), (77, 1, 4, 41, 44), (78, 13), (79, 31),
+)
+GOLDEN_CONT_MIN_LEAF = tuple(range(60)) + (
+    14, 6, 14, 0, 22, 7, 6, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+)
+# Grid weights: two components form at 1.625, whose node ids may come in
+# either order, so each internal node is pinned as (label, its leaves).
+GOLDEN_GRID_H1 = (
+    0, 1, 2, 3, 5, 6, 7, 8, 9, 12, 15, 16, 17, 19, 20, 21, 22, 23, 24, 25, 27,
+    28, 29, 30, 31, 33, 34, 35, 36, 37, 39, 40, 42, 44, 46, 50, 51, 52, 54, 55,
+    56, 58, 59, 60, 61, 65, 66, 68, 69, 70, 75, 80, 82, 84, 86, 87, 88, 89, 90,
+    93, 94, 95,
+)
+GOLDEN_GRID_NODES = {
+    (1.125, (1, 5, 37)),
+    (1.3125, (20, 24)),
+    (1.4375, (0, 1, 2, 5, 10, 12, 13, 15, 16, 17, 18, 21, 23, 26, 28, 29,
+              32, 37)),
+    (1.5, (0, 1, 2, 5, 10, 12, 13, 14, 15, 16, 17, 18, 21, 23, 26, 28, 29,
+           32, 37)),
+    (1.625, (0, 1, 2, 5, 10, 12, 13, 14, 15, 16, 17, 18, 21, 22, 23, 26,
+             28, 29, 32, 37)),
+    (1.625, (11, 33, 34)),
+    (1.75, (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18,
+            21, 22, 23, 25, 26, 28, 29, 30, 32, 33, 34, 36, 37)),
+    (1.8125, (0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+              18, 21, 22, 23, 25, 26, 28, 29, 30, 32, 33, 34, 35, 36, 37,
+              38)),
+    (1.875, tuple(v for v in range(40) if v != 39)),
+    (2.0, tuple(range(40))),
+}
+
+
+class TestGoldenMergeTree:
+    def test_continuous_weights_whole_tree(self):
+        g = generate_graph(60, 240, random.Random("fixture:golden-merge-cont"),
+                           w_min=1.0, w_max=1000.0, quantum=0)
+        tree, h1 = linfty_merge_tree(g)
+        assert sorted(h1) == list(GOLDEN_CONT_H1)
+        assert tuple(tree.label) == (0.0,) * 60 + GOLDEN_CONT_LABEL
+        assert tuple(tree.parent) == GOLDEN_CONT_PARENT
+        assert tuple(tree.children) == ((),) * 60 + GOLDEN_CONT_CHILDREN
+        assert tuple(tree.min_leaf) == GOLDEN_CONT_MIN_LEAF
+
+    def test_grid_weights_tied_merges(self):
+        g = random_graph("golden-merge-grid", 40, 100)
+        tree, h1 = linfty_merge_tree(g)
+        assert sorted(h1) == list(GOLDEN_GRID_H1)
+        nodes = [(tree.label[x], tuple(sorted(tree.leaves_under(x))))
+                 for x in range(tree.n, tree.size)]
+        assert len(nodes) == len(GOLDEN_GRID_NODES)
+        assert set(nodes) == GOLDEN_GRID_NODES
+
+
+def test_scc_work_is_m_log_distinct_weights(monkeypatch):
+    """Each edge takes part in at most one SCC call per level of the
+    divide and conquer over the weight ranks, plus one at its leaf."""
+    arcs_seen = []
+    real = rtspan.linfty._scc_of_arcs
+
+    def spy(arcs):
+        arcs_seen.append(len(arcs))
+        return real(arcs)
+
+    monkeypatch.setattr(rtspan.linfty, "_scc_of_arcs", spy)
+    g = generate_graph(400, 1600, random.Random("fixture:scc-work"),
+                       w_min=1.0, w_max=1000.0, quantum=0)
+    distinct = len({w for _, _, w in g.edges})
+    tree, _ = linfty_merge_tree(g)
+    assert tree.size > tree.n
+    bound = g.m * (math.ceil(math.log2(distinct + 1)) + 1)
+    assert 0 < sum(arcs_seen) <= bound
 
 
 class TestContract:
