@@ -10,13 +10,10 @@ from .graph import (
     DistanceVector,
     EdgeListError,
     Graph,
-    directional_ball,
     distance_matrix,
-    edge_subgraph,
     parse_edge_list,
     round_trip_ball,
     sssp,
-    strongly_connected_components,
     write_edge_list,
 )
 from .linfty import (
@@ -32,7 +29,6 @@ from .partition import (
     RadiusSampler,
     cluster,
     exp_inverse_transform,
-    sample_exponential,
 )
 from .spanner import SpannerResult, swrt_spanner, swrt_spanner_weighted
 from .verify import (
@@ -41,7 +37,6 @@ from .verify import (
     StretchReport,
     check_cover,
     check_stretch,
-    oracle_linfty,
     oracle_linfty_matrix,
     oracle_one_way_all_pairs,
     oracle_round_trip_all_pairs,
@@ -76,13 +71,10 @@ __all__ = [
     "check_stretch",
     "cluster",
     "contract",
-    "directional_ball",
     "distance_matrix",
-    "edge_subgraph",
     "estimate_ball_fractions",
     "exp_inverse_transform",
     "linfty_merge_tree",
-    "oracle_linfty",
     "oracle_linfty_matrix",
     "oracle_one_way_all_pairs",
     "oracle_round_trip_all_pairs",
@@ -91,10 +83,8 @@ __all__ = [
     "recursive_cover",
     "round_trip_ball",
     "sample_count",
-    "sample_exponential",
     "sssp",
     "stretch_bound",
-    "strongly_connected_components",
     "swrt_cover",
     "swrt_spanner",
     "swrt_spanner_weighted",

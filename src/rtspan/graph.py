@@ -1,5 +1,6 @@
-"""Weighted digraph core: representation, edge-list I/O, Dijkstra searches,
-round-trip balls with certifying trees, and strongly connected components.
+"""Weighted digraph core: representation, edge-list I/O, the one
+multi-source Dijkstra every search shares, and round-trip balls with
+certifying trees.
 
 Vertex ids are dense integers 0..n-1.  Edge weights are strictly positive
 finite floats.  Missing distances are reported as the module-level
@@ -192,23 +193,27 @@ class DistanceVector:
         return self.dist[v] is not UNREACHABLE
 
 
-def sssp(g: Graph, restrict, source: int, direction: str = OUT) -> DistanceVector:
-    """Binary-heap Dijkstra inside the induced subgraph G(restrict).
+def dijkstra(g: Graph, member, seeds, direction: str):
+    """Multi-source binary-heap Dijkstra inside the vertices marked in member.
 
-    direction OUT yields d(source, v); IN yields d(v, source) by walking
-    the reverse adjacency.  Vertices outside restrict keep UNREACHABLE.
+    seeds holds distinct (offset, seed) starts: seed begins at distance
+    offset and owns the vertices its search reaches first.  A vertex takes
+    the smallest (distance, owner) pair over all seeds, so equal distances
+    go to the smaller seed.  Returns per-vertex lists dist (UNREACHABLE off
+    the search), owner and parent_edge (None at seeds and off the search).
     """
-    member = membership(g, restrict)
-    if not (0 <= source < g.n) or not member[source]:
-        raise ValueError(f"source {source} not inside restrict")
     adj = g.adjacency(direction)
     dist = [UNREACHABLE] * g.n
+    owner = [None] * g.n
     parent = [None] * g.n
     done = [False] * g.n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
+    heap = []
+    for d, u in seeds:
+        dist[u] = d
+        owner[u] = u
+        heappush(heap, (d, u, u))
     while heap:
-        d, u = heappop(heap)
+        d, c, u = heappop(heap)
         if done[u]:
             continue
         done[u] = True
@@ -217,10 +222,24 @@ def sssp(g: Graph, restrict, source: int, direction: str = OUT) -> DistanceVecto
                 continue
             nd = d + w
             cur = dist[v]
-            if cur is UNREACHABLE or nd < cur:
+            if cur is UNREACHABLE or nd < cur or (nd == cur and c < owner[v]):
                 dist[v] = nd
+                owner[v] = c
                 parent[v] = eidx
-                heappush(heap, (nd, v))
+                heappush(heap, (nd, c, v))
+    return dist, owner, parent
+
+
+def sssp(g: Graph, restrict, source: int, direction: str = OUT) -> DistanceVector:
+    """Single-source Dijkstra inside the induced subgraph G(restrict).
+
+    direction OUT yields d(source, v); IN yields d(v, source) by walking
+    the reverse adjacency.  Vertices outside restrict keep UNREACHABLE.
+    """
+    member = membership(g, restrict)
+    if not (0 <= source < g.n) or not member[source]:
+        raise ValueError(f"source {source} not inside restrict")
+    dist, _, parent = dijkstra(g, member, [(0.0, source)], direction)
     return DistanceVector(source, direction, tuple(dist), tuple(parent))
 
 
@@ -265,84 +284,6 @@ def round_trip_ball(g: Graph, restrict, center: int, radius: float) -> BallResul
                 src, dst, _ = g.edges[e]
                 v = src if dv.direction == OUT else dst
     return BallResult(center, float(radius), frozenset(members), frozenset(tree))
-
-
-def directional_ball(g: Graph, restrict, center: int, r: float, direction: str):
-    """Vertices within one-way distance r of center (from it for OUT,
-    toward it for IN), inside G(restrict)."""
-    dv = sssp(g, restrict, center, direction)
-    return frozenset(
-        v for v in vertex_ids(g, restrict)
-        if dv.dist[v] is not UNREACHABLE and dv.dist[v] <= r
-    )
-
-
-def strongly_connected_components(g: Graph, restrict=None):
-    """Maximal SCCs of G(restrict) via iterative Tarjan, sorted by smallest
-    member so output order is deterministic."""
-    member = membership(g, restrict)
-    index = [None] * g.n
-    low = [0] * g.n
-    on_stack = [False] * g.n
-    comp_stack = []
-    comps = []
-    counter = 0
-    for root in range(g.n):
-        if not member[root] or index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                comp_stack.append(v)
-                on_stack[v] = True
-            adjlist = g.out_adj[v]
-            pushed = False
-            while pi < len(adjlist):
-                nxt = adjlist[pi][0]
-                pi += 1
-                if not member[nxt]:
-                    continue
-                if index[nxt] is None:
-                    work[-1] = (v, pi)
-                    work.append((nxt, 0))
-                    pushed = True
-                    break
-                if on_stack[nxt]:
-                    if index[nxt] < low[v]:
-                        low[v] = index[nxt]
-            if pushed:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = comp_stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return sorted(comps, key=min)
-
-
-def edge_subgraph(g: Graph, edge_indexes) -> Graph:
-    """New Graph over the same vertex set keeping only the given edges.
-
-    Edge indexes of the result follow the sorted original indexes and do
-    NOT line up with the originals; use this at oracle/emission boundaries
-    only.
-    """
-    keep = sorted(set(edge_indexes))
-    if keep and (keep[0] < 0 or keep[-1] >= g.m):
-        raise ValueError("edge index out of range")
-    return Graph(g.n, [g.edges[i] for i in keep])
 
 
 def distance_matrix(g: Graph, restrict=None, sources=None, direction: str = OUT):

@@ -3,8 +3,8 @@
 Each center draws a radius from Exp(ln(s)/r); a vertex joins the center
 whose clock reaches it first, measured by r_u - d(u, v) (or the reverse
 distance for inward clustering).  Vertices no clock reaches form a
-residual part.  One multi-source Dijkstra from a virtual root realizes
-all assignments at once.
+residual part.  Shifting each center's start by maxr - r_u turns every
+assignment into one multi-source search, the shared Dijkstra in graph.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
-from .graph import IN, OUT, Graph, membership, vertex_ids
+from .graph import OUT, UNREACHABLE, Graph, dijkstra, membership, vertex_ids
 
 
 def exp_inverse_transform(u: float, beta: float) -> float:
@@ -40,10 +39,6 @@ class RadiusSampler:
     def sample(self) -> float:
         # 1 - random() lies in (0, 1], keeping the inverse transform defined
         return exp_inverse_transform(1.0 - self.rng.random(), self.beta)
-
-
-def sample_exponential(sampler: RadiusSampler) -> float:
-    return sampler.sample()
 
 
 @dataclass(frozen=True)
@@ -118,40 +113,18 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
                 raise ValueError("injected radius must be non-negative")
             rad[u] = ru
 
+    # Each center starts at offset maxr - r_u, so the smallest shifted
+    # distance is the largest r_u - d(u, v), and the search's (distance,
+    # owner) order gives the smallest-center tie-break exactly.
     maxr = max(rad.values())
-    adj = g.adjacency(direction)
-
-    # Virtual root: seed every center at offset maxr - r_u, then one
-    # Dijkstra.  Heap keys order by (distance, claiming center), which
-    # makes the smallest-center tie-break exact.
-    nokey = (math.inf, g.n)
-    best = [nokey] * g.n
-    done = [False] * g.n
-    heap = []
-    for u in U:
-        key = (maxr - rad[u], u)
-        if key < best[u]:
-            best[u] = key
-            heappush(heap, (key[0], u, u))
-    while heap:
-        d, c, v = heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for nxt, w, _ in adj[v]:
-            if done[nxt] or not member[nxt]:
-                continue
-            cand = (d + w, c)
-            if cand < best[nxt]:
-                best[nxt] = cand
-                heappush(heap, (d + w, c, nxt))
+    dist, owner, _ = dijkstra(g, member, [(maxr - rad[u], u) for u in U], direction)
 
     claimed = {u: [] for u in U}
     residual = []
     for v in vertex_ids(g, restrict):
-        d, c = best[v]
-        if d < maxr:
-            claimed[c].append(v)
+        d = dist[v]
+        if d is not UNREACHABLE and d < maxr:
+            claimed[owner[v]].append(v)
         else:
             residual.append(v)
 
@@ -160,6 +133,6 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
         if not claimed[u]:
             continue
         offset = maxr - rad[u]
-        reach = max(best[v][0] - offset for v in claimed[u])
+        reach = max(dist[v] - offset for v in claimed[u])
         clusters.append(Cluster(u, rad[u], frozenset(claimed[u]), reach))
     return Partition(tuple(clusters), frozenset(residual))

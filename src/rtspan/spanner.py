@@ -1,12 +1,13 @@
 """Source-wise round-trip spanner assembly.
 
-Two constructions share the shape "union of round-trip trees from many
-covers".  The scale construction contracts the graph to one weight window
-per scale, covers each window, and maps tree edges back; the bottleneck
-certificate set rides along so cheap cycles survive contraction.  The
-weighted construction skips contraction and simply covers every distance
-scale of the full graph; it rejects weights below 1, so callers with
-smaller weights rescale first (the command line tool does).
+Both constructions are one assembly loop, "union of round-trip trees from
+many covers", run over different windows.  The scale construction
+contracts the graph to one weight window per scale, covers each window,
+and maps tree edges back; the bottleneck certificate set rides along so
+cheap cycles survive contraction.  The weighted construction skips
+contraction and simply covers every distance scale of the full graph; it
+rejects weights below 1, so callers with smaller weights rescale first
+(the command line tool does).
 """
 
 from __future__ import annotations
@@ -46,6 +47,41 @@ def _check_inputs(g: Graph, k, sources, rng):
     return src
 
 
+def _assemble(stats: dict, windows, k: int, params, rng, provenance: dict) -> SpannerResult:
+    """Cover every window and union its ball tree edges into provenance.
+
+    windows yields (tag, row, graph, edge_map, sources, R): the window's
+    stats row, its graph, the map from its edge indexes to the input's,
+    its sources and its target distance.  New edges land under tag; a
+    window without sources is recorded but not covered.  Each window draws
+    from its own stream, seeded by one draw from rng and its tag.  stats,
+    the header of the result's counters, gains the rows and the totals.
+    """
+    base = rng.getrandbits(64)
+    rows = []
+    for tag, row, graph, edge_map, sources, R in windows:
+        rows.append(row)
+        if not sources:
+            row.update(trials=0, balls=0, failures=0, max_depth=0, new_edges=0)
+            continue
+        cov = swrt_cover(graph, k, R, sources, params=params,
+                         rng=random.Random(f"{base}:{tag}"))
+        new_edges = 0
+        for ball in cov.balls:
+            for e in ball.rt_tree_edges:
+                oe = edge_map[e]
+                if oe not in provenance:
+                    provenance[oe] = tag
+                    new_edges += 1
+        row.update(trials=cov.trials, balls=len(cov.balls),
+                   failures=len(cov.failure_parts), max_depth=cov.max_depth,
+                   new_edges=new_edges)
+    edges = tuple(sorted(provenance))
+    stats.update(scales=rows, failures=sum(r["failures"] for r in rows),
+                 total_edges=len(edges))
+    return SpannerResult(edges=edges, provenance=provenance, stats=stats)
+
+
 def swrt_spanner(g: Graph, k: int, sources, params: CoverParams | None = None,
                  rng: random.Random | None = None) -> SpannerResult:
     """Build a source-wise round-trip spanner via contraction scales.
@@ -56,53 +92,17 @@ def swrt_spanner(g: Graph, k: int, sources, params: CoverParams | None = None,
     vanished in contraction are recorded but not covered.
     """
     src = _check_inputs(g, k, sources, rng)
-    params = params if params is not None else CoverParams()
     tree, h1 = linfty_merge_tree(g)
-    provenance = {}
-    for e in sorted(h1):
-        provenance[e] = "bottleneck"
-    base = rng.getrandbits(64)
-    rows = []
-    for bundle in build_scales(g, src, tree):
-        row = {
-            "t": bundle.t,
-            "n": bundle.graph.n,
-            "m": bundle.graph.m,
-            "sources": len(bundle.sources),
-        }
-        if not bundle.sources:
-            row.update(skipped=True, trials=0, balls=0,
-                       failures=0, max_depth=0, new_edges=0)
-            rows.append(row)
-            continue
-        sub_rng = random.Random(f"{base}:scale:{bundle.t}")
-        cov = swrt_cover(bundle.graph, k, 2.0 ** bundle.t,
-                         sorted(bundle.sources), params=params, rng=sub_rng)
-        tag = f"scale:{bundle.t}"
-        new_edges = 0
-        for ball in cov.balls:
-            for ce in ball.rt_tree_edges:
-                oe = bundle.edge_map[ce]
-                if oe not in provenance:
-                    provenance[oe] = tag
-                    new_edges += 1
-        row.update(skipped=False, trials=cov.trials, balls=len(cov.balls),
-                   failures=len(cov.failure_parts), max_depth=cov.max_depth,
-                   new_edges=new_edges)
-        rows.append(row)
-    edges = tuple(sorted(provenance))
-    stats = {
-        "mode": "scales",
-        "n": g.n,
-        "m": g.m,
-        "k": k,
-        "sources": len(src),
-        "bottleneck_edges": len(h1),
-        "scales": rows,
-        "failures": sum(r["failures"] for r in rows),
-        "total_edges": len(edges),
-    }
-    return SpannerResult(edges=edges, provenance=provenance, stats=stats)
+    windows = (
+        (f"scale:{b.t}",
+         {"t": b.t, "n": b.graph.n, "m": b.graph.m, "sources": len(b.sources),
+          "skipped": not b.sources},
+         b.graph, b.edge_map, sorted(b.sources), 2.0 ** b.t)
+        for b in build_scales(g, src, tree)
+    )
+    stats = {"mode": "scales", "n": g.n, "m": g.m, "k": k, "sources": len(src),
+             "bottleneck_edges": len(h1)}
+    return _assemble(stats, windows, k, params, rng, dict.fromkeys(sorted(h1), "bottleneck"))
 
 
 def swrt_spanner_weighted(g: Graph, k: int, sources, params: CoverParams | None = None,
@@ -117,37 +117,10 @@ def swrt_spanner_weighted(g: Graph, k: int, sources, params: CoverParams | None 
     src = _check_inputs(g, k, sources, rng)
     if g.m > 0 and min(w for _, _, w in g.edges) < 1.0:
         raise ValueError("weights must be at least 1; rescale them first")
-    params = params if params is not None else CoverParams()
-    provenance = {}
-    rows = []
-    base = rng.getrandbits(64)
-    if g.m > 0:
-        w_max = max(w for _, _, w in g.edges)
-        top = math.ceil(math.log2(2.0 * g.n * w_max))
-        for i in range(1, top + 1):
-            sub_rng = random.Random(f"{base}:wscale:{i}")
-            cov = swrt_cover(g, k, 2.0 ** i, src, params=params, rng=sub_rng)
-            tag = f"wscale:{i}"
-            new_edges = 0
-            for ball in cov.balls:
-                for e in ball.rt_tree_edges:
-                    if e not in provenance:
-                        provenance[e] = tag
-                        new_edges += 1
-            rows.append({
-                "i": i, "radius": 2.0 ** i, "trials": cov.trials,
-                "balls": len(cov.balls), "failures": len(cov.failure_parts),
-                "max_depth": cov.max_depth, "new_edges": new_edges,
-            })
-    edges = tuple(sorted(provenance))
-    stats = {
-        "mode": "weighted",
-        "n": g.n,
-        "m": g.m,
-        "k": k,
-        "sources": len(src),
-        "scales": rows,
-        "failures": sum(r["failures"] for r in rows),
-        "total_edges": len(edges),
-    }
-    return SpannerResult(edges=edges, provenance=provenance, stats=stats)
+    top = math.ceil(math.log2(2.0 * g.n * max(w for _, _, w in g.edges))) if g.m else 0
+    windows = (
+        (f"wscale:{i}", {"i": i, "radius": 2.0 ** i}, g, range(g.m), src, 2.0 ** i)
+        for i in range(1, top + 1)
+    )
+    stats = {"mode": "weighted", "n": g.n, "m": g.m, "k": k, "sources": len(src)}
+    return _assemble(stats, windows, k, params, rng, {})

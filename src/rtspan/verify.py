@@ -61,20 +61,6 @@ def _scc_labels(g: Graph, max_weight):
     return labels
 
 
-def oracle_linfty(g: Graph, u: int, v: int):
-    """Bottleneck round-trip distance by direct threshold sweep.
-    Returns UNREACHABLE when no threshold joins the pair."""
-    if not (0 <= u < g.n) or not (0 <= v < g.n):
-        raise ValueError("vertex id out of range")
-    if u == v:
-        return 0.0
-    for w in sorted({w for _, _, w in g.edges}):
-        labels = _scc_labels(g, w)
-        if labels[u] == labels[v]:
-            return float(w)
-    return UNREACHABLE
-
-
 def oracle_linfty_matrix(g: Graph) -> np.ndarray:
     """All-pairs bottleneck round-trip distances, np.inf where none."""
     n = g.n

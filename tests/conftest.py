@@ -20,6 +20,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+def edge_subgraph(g: Graph, edge_indexes) -> Graph:
+    """The graph on the same vertices keeping only the given edges; its
+    edge indexes follow the sorted originals, not the originals."""
+    return Graph(g.n, [g.edges[i] for i in sorted(set(edge_indexes))])
+
+
 def random_graph(tag: str, n: int, m: int, strongly_connected: bool = True):
     """Deterministic random graph keyed by a string tag.  Weights stay on
     the 1/16 grid so shortest-path sums are exact binary floats and every

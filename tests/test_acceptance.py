@@ -15,7 +15,7 @@ import time
 import numpy as np
 from scipy.stats import binomtest
 
-from conftest import record
+from conftest import edge_subgraph, record
 from rtspan.cli import generate_graph
 from rtspan.cover import CoverParams, recursive_cover, swrt_cover
 from rtspan.estimate import estimate_ball_fractions
@@ -25,7 +25,6 @@ from rtspan.graph import (
     UNREACHABLE,
     Graph,
     distance_matrix,
-    edge_subgraph,
     sssp,
 )
 from rtspan.linfty import build_scales, linfty_merge_tree

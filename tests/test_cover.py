@@ -7,9 +7,9 @@ import pytest
 
 import rtspan.cover as cover_mod
 import rtspan.estimate as est_mod
-from conftest import random_graph, ring_with_chords
+from conftest import edge_subgraph, random_graph, ring_with_chords
 from rtspan.cover import Cover, CoverParams, _ceil_root, recursive_cover, swrt_cover
-from rtspan.graph import IN, OUT, Graph, edge_subgraph, round_trip_ball, sssp
+from rtspan.graph import IN, OUT, Graph, round_trip_ball, sssp
 from rtspan.partition import Cluster, Partition
 
 

@@ -11,13 +11,10 @@ from rtspan.graph import (
     UNREACHABLE,
     EdgeListError,
     Graph,
-    directional_ball,
     distance_matrix,
-    edge_subgraph,
     parse_edge_list,
     round_trip_ball,
     sssp,
-    strongly_connected_components,
     write_edge_list,
 )
 from rtspan.verify import oracle_one_way_all_pairs
@@ -195,58 +192,8 @@ class TestBalls:
             u, v, _ = g.edges[e]
             assert u in set(keep) and v in set(keep)
 
-    def test_directional_single_edge(self):
-        g = Graph(2, [(0, 1, 1.0)])
-        assert directional_ball(g, None, 0, 1.0, OUT) == frozenset({0, 1})
-        assert directional_ball(g, None, 0, 1.0, IN) == frozenset({0})
-
-    def test_directional_cycle(self):
-        assert directional_ball(self.cycle3(), None, 0, 2.0, OUT) == frozenset({0, 1, 2})
-
-
-class TestScc:
-    def test_cycle_single(self):
-        g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        assert strongly_connected_components(g) == [frozenset({0, 1, 2})]
-
-    def test_path_singletons(self):
-        g = Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        comps = strongly_connected_components(g)
-        assert sorted(map(sorted, comps)) == [[0], [1], [2], [3]]
-
-    def test_bridged_two_cycles(self):
-        g = Graph(4, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0),
-                      (2, 3, 1.0), (3, 2, 1.0)])
-        comps = strongly_connected_components(g)
-        assert sorted(map(sorted, comps)) == [[0, 1], [2, 3]]
-
-    def test_partition_and_mutual_reachability(self):
-        g = random_graph("scc", 30, 60, strongly_connected=False)
-        comps = strongly_connected_components(g)
-        assert sorted(v for c in comps for v in c) == list(range(g.n))
-        ids, dist = oracle_one_way_all_pairs(g)
-        label = {}
-        for i, c in enumerate(comps):
-            for v in c:
-                label[v] = i
-        for u in range(g.n):
-            for v in range(g.n):
-                mutual = np.isfinite(dist[u][v]) and np.isfinite(dist[v][u])
-                assert mutual == (label[u] == label[v])
-
-    def test_restrict(self):
-        g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
-        assert strongly_connected_components(g, [0, 2]) == [frozenset({0}), frozenset({2})]
-
 
 class TestSubgraphAndMatrix:
-    def test_edge_subgraph_keeps_vertices(self):
-        g = Graph(5, [(0, 4, 1.0), (4, 0, 2.0), (2, 3, 1.0)])
-        sub = edge_subgraph(g, [1, 0])
-        assert sub.n == 5 and sub.edges == ((0, 4, 1.0), (4, 0, 2.0))
-        with pytest.raises(ValueError):
-            edge_subgraph(g, [3])
-
     def test_distance_matrix_matches_sssp(self):
         g = random_graph("dm", 22, 80)
         keep = sorted(random.Random(1).sample(range(22), 15))

@@ -2,18 +2,21 @@ import heapq
 import math
 import random
 
+import numpy as np
 import pytest
 
 import rtspan.linfty
-from conftest import random_graph
+from conftest import edge_subgraph, random_graph
 from rtspan.cli import generate_graph
-from rtspan.graph import IN, OUT, UNREACHABLE, Graph, edge_subgraph
+from rtspan.graph import IN, OUT, UNREACHABLE, Graph
 from rtspan.linfty import (
     ContractionBundle,
+    _scc_of_arcs,
     build_scales,
     contract,
     linfty_merge_tree,
 )
+from rtspan.verify import oracle_one_way_all_pairs
 
 
 def minimax(g, src, direction):
@@ -52,6 +55,32 @@ def brute_linfty_matrix(g):
 def tree_matrix(g):
     tree, _ = linfty_merge_tree(g)
     return [[tree.distance(u, v) for v in range(g.n)] for u in range(g.n)]
+
+
+def arcs_of(g):
+    return [(u, v, i) for i, (u, v, _) in enumerate(g.edges)]
+
+
+class TestSccOfArcs:
+    """The library's only Tarjan; singleton components are left out."""
+
+    def test_bridged_two_cycles(self):
+        g = Graph(4, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0),
+                      (2, 3, 1.0), (3, 2, 1.0)])
+        assert sorted(map(sorted, _scc_of_arcs(arcs_of(g)))) == [[0, 1], [2, 3]]
+
+    def test_partition_and_mutual_reachability(self):
+        g = random_graph("scc", 30, 60, strongly_connected=False)
+        comps = _scc_of_arcs(arcs_of(g))
+        label = {v: i for i, c in enumerate(comps) for v in c}
+        assert len(label) == sum(len(c) for c in comps)
+        _, dist = oracle_one_way_all_pairs(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v:
+                    continue
+                mutual = np.isfinite(dist[u][v]) and np.isfinite(dist[v][u])
+                assert mutual == (u in label and label[u] == label.get(v))
 
 
 class TestMergeTree:

@@ -9,7 +9,6 @@ from rtspan.partition import (
     RadiusSampler,
     cluster,
     exp_inverse_transform,
-    sample_exponential,
 )
 
 
@@ -36,7 +35,7 @@ class TestExponential:
         # analytic mean at rate 2 is 0.5; one-percent tolerance per contract
         sampler = RadiusSampler(2.0, random.Random(12345))
         n = 10 ** 6
-        total = sum(sample_exponential(sampler) for _ in range(n))
+        total = sum(sampler.sample() for _ in range(n))
         assert total / n == pytest.approx(0.5, rel=0.01)
 
     def test_samples_non_negative(self):
@@ -113,18 +112,24 @@ class TestCluster:
             assert len(p.residual) <= len(keep) - len(centers)
 
     def test_matches_brute_force_argmax(self):
-        # dyadic injected radii keep every score comparison exact
+        # dyadic weights and injected radii keep every score comparison and
+        # every reach exact
         for i in range(30):
             rng = random.Random(f"bf:{i}")
             g = random_graph(f"bf:{i}", 18, 50, strongly_connected=i % 3 == 0)
-            centers = sorted(rng.sample(range(18), rng.randint(1, 7)))
+            keep = None if i % 2 else sorted(rng.sample(range(18), rng.randint(6, 17)))
+            pool = range(18) if keep is None else keep
+            centers = sorted(rng.sample(pool, rng.randint(1, 7)))
             radii = {u: rng.randint(0, 64) / 16.0 for u in centers}
             for direction in (OUT, IN):
-                p = cluster(g, None, centers, 2.0, 4, direction=direction, radii=radii)
+                p = cluster(g, keep, centers, 2.0, 4, direction=direction, radii=radii)
                 got = {c.center: set(c.members) for c in p.clusters}
-                want, want_res = brute_force_partition(g, None, centers, radii, direction)
+                want, want_res = brute_force_partition(g, keep, centers, radii, direction)
                 assert got == want
                 assert set(p.residual) == want_res
+                for c in p.clusters:
+                    d = sssp(g, keep, c.center, direction).dist
+                    assert c.reach == max(d[v] for v in c.members)
 
     def test_equal_scores_go_to_smallest_center(self):
         # both centers offer score 1 to the middle vertex

@@ -155,16 +155,100 @@ GOLDEN_RING = (
 )
 
 
+GOLDEN_GRID_BOTTLENECK = (
+    1, 2, 3, 6, 10, 11, 12, 13, 15, 16, 19, 21, 25, 26, 27, 28, 29, 31, 33,
+    35, 37, 39, 42, 43, 45, 46, 48, 54, 56, 59, 62, 63, 64, 66, 68, 72, 73,
+    75, 76, 77, 84, 90, 91, 92, 93, 113, 115, 117, 118, 119,
+)
+
+# Weighted-variant provenance, grouped as {tag: edges}; recorded before
+# the two drivers shared one assembly loop.
+GOLDEN_WEIGHTED_GRID = {
+    "wscale:1": (
+        2, 3, 5, 8, 12, 15, 18, 19, 20, 21, 22, 24, 27, 28, 33, 38, 40,
+        43, 44, 45, 46, 48, 51, 52, 55, 56, 58, 60, 64, 67, 68, 69, 73,
+        74, 76, 78, 86, 87, 91, 95, 101, 104, 105, 108, 109, 111, 112,
+        113, 117, 118, 119,
+    ),
+}
+GOLDEN_WEIGHTED_RING = {
+    "wscale:1": (
+        0, 1, 16, 17, 18, 19, 42, 43, 44, 45, 46, 47, 48, 50, 51, 52,
+        53, 55, 57, 59, 60, 61, 62, 64, 65, 81, 83,
+    ),
+    "wscale:2": (
+        2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 20, 21, 22, 23,
+        24, 25, 26, 27, 28, 29, 30, 32, 33, 34, 35, 36, 37, 38, 39, 40,
+        41, 66, 68, 70, 72, 74, 76, 77, 78, 79, 80, 84, 85,
+    ),
+    "wscale:3": (73, 75),
+}
+
+
+def _by_tag(provenance):
+    out = {}
+    for e, tag in sorted(provenance.items()):
+        out.setdefault(tag, []).append(e)
+    return {tag: tuple(es) for tag, es in out.items()}
+
+
+def _scale_row(t, new_edges):
+    return {"t": t, "n": 30, "m": 120, "sources": 4, "skipped": False,
+            "trials": 32, "balls": 32, "failures": 0, "max_depth": 2,
+            "new_edges": new_edges}
+
+
+def _wscale_row(i, balls=32, failures=0, max_depth=2, new_edges=0):
+    return {"i": i, "radius": 2.0 ** i, "trials": 32, "balls": balls,
+            "failures": failures, "max_depth": max_depth, "new_edges": new_edges}
+
+
 class TestGoldenEdges:
-    """Seeded builds whose edges are pinned: a refactor keeps them
-    bit-identical unless it says why they change."""
+    """Seeded builds whose output is pinned: a refactor keeps edges,
+    provenance and stats bit-identical unless it says why they change."""
 
     def test_grid_weight_erdos_renyi(self):
         g = random_graph("golden-grid", 30, 120)
         res = swrt_spanner(g, 2, [2, 9, 17, 26], rng=random.Random(31))
         assert res.edges == GOLDEN_GRID
+        scale = tuple(e for e in GOLDEN_GRID if e not in GOLDEN_GRID_BOTTLENECK)
+        assert _by_tag(res.provenance) == {"bottleneck": GOLDEN_GRID_BOTTLENECK,
+                                           "scale:1": scale}
+        assert res.stats == {
+            "mode": "scales", "n": 30, "m": 120, "k": 2, "sources": 4,
+            "bottleneck_edges": 50,
+            "scales": [_scale_row(t, 28 if t == 1 else 0) for t in range(1, 6)],
+            "failures": 0, "total_edges": 78,
+        }
 
     def test_ring_with_chords(self):
         g = ring_with_chords("golden-ring", 40, 6)
         res = swrt_spanner(g, 2, [0, 10, 21, 33], rng=random.Random(32))
         assert res.edges == GOLDEN_RING
+
+    def test_weighted_grid_weight_erdos_renyi(self):
+        g = random_graph("golden-grid", 30, 120)
+        res = swrt_spanner_weighted(g, 2, [2, 9, 17, 26], rng=random.Random(33))
+        assert res.edges == GOLDEN_WEIGHTED_GRID["wscale:1"]
+        assert _by_tag(res.provenance) == GOLDEN_WEIGHTED_GRID
+        assert res.stats == {
+            "mode": "weighted", "n": 30, "m": 120, "k": 2, "sources": 4,
+            "scales": [_wscale_row(i, new_edges=51 if i == 1 else 0)
+                       for i in range(1, 8)],
+            "failures": 0, "total_edges": 51,
+        }
+
+    def test_weighted_ring_with_chords(self):
+        g = ring_with_chords("golden-ring", 40, 6)
+        res = swrt_spanner_weighted(g, 2, [0, 10, 21, 33], rng=random.Random(34))
+        assert res.edges == tuple(sorted(e for es in GOLDEN_WEIGHTED_RING.values()
+                                         for e in es))
+        assert _by_tag(res.provenance) == GOLDEN_WEIGHTED_RING
+        assert res.stats == {
+            "mode": "weighted", "n": 40, "m": 86, "k": 2, "sources": 4,
+            "scales": [_wscale_row(1, balls=127, max_depth=3, new_edges=27),
+                       _wscale_row(2, balls=22, failures=16, new_edges=46),
+                       _wscale_row(3, new_edges=2)]
+                      + [_wscale_row(i) for i in range(4, 17)],
+            "failures": 16, "total_edges": 75,
+        }

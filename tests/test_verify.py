@@ -6,12 +6,11 @@ import pytest
 
 from conftest import random_graph
 from rtspan.cover import Cover, CoverParams
-from rtspan.graph import IN, OUT, UNREACHABLE, Graph, round_trip_ball
+from rtspan.graph import OUT, Graph, round_trip_ball
 from rtspan.verify import (
     ProbabilityReport,
     check_cover,
     check_stretch,
-    oracle_linfty,
     oracle_linfty_matrix,
     oracle_one_way_all_pairs,
     oracle_round_trip_all_pairs,
@@ -63,28 +62,13 @@ class TestDistanceOracles:
 class TestLinftyOracle:
     def test_two_cycle(self):
         g = Graph(2, [(0, 1, 3.0), (1, 0, 5.0)])
-        assert oracle_linfty(g, 0, 1) == 5.0
-        assert oracle_linfty(g, 0, 0) == 0.0
+        assert oracle_linfty_matrix(g).tolist() == [[0.0, 5.0], [5.0, 0.0]]
 
     def test_dag(self):
         g = Graph(2, [(0, 1, 1.0)])
-        assert oracle_linfty(g, 0, 1) is UNREACHABLE
-
-    def test_range_check(self):
-        g = Graph(2, [])
-        with pytest.raises(ValueError):
-            oracle_linfty(g, 0, 5)
-
-    def test_matrix_agrees_with_pointwise(self):
-        g = random_graph("vlm", 14, 40)
         mat = oracle_linfty_matrix(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                d = oracle_linfty(g, u, v)
-                if d is UNREACHABLE:
-                    assert np.isinf(mat[u, v])
-                else:
-                    assert mat[u, v] == d
+        assert np.isinf(mat[0, 1]) and np.isinf(mat[1, 0])
+        assert mat[0, 0] == mat[1, 1] == 0.0
 
 
 class TestCheckStretch:
