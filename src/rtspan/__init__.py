@@ -23,13 +23,7 @@ from .linfty import (
     contract,
     linfty_merge_tree,
 )
-from .partition import (
-    Cluster,
-    Partition,
-    RadiusSampler,
-    cluster,
-    exp_inverse_transform,
-)
+from .partition import Cluster, Partition, cluster
 from .spanner import SpannerResult, swrt_spanner, swrt_spanner_weighted
 from .verify import (
     CoverReport,
@@ -62,7 +56,6 @@ __all__ = [
     "OUT",
     "Partition",
     "ProbabilityReport",
-    "RadiusSampler",
     "SpannerResult",
     "StretchReport",
     "UNREACHABLE",
@@ -73,7 +66,6 @@ __all__ = [
     "contract",
     "distance_matrix",
     "estimate_ball_fractions",
-    "exp_inverse_transform",
     "linfty_merge_tree",
     "oracle_linfty_matrix",
     "oracle_one_way_all_pairs",

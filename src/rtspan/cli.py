@@ -19,7 +19,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .cover import CoverParams, swrt_cover
 from .graph import Graph, EdgeListError, parse_edge_list, write_edge_list
@@ -28,23 +27,6 @@ from .spanner import swrt_spanner, swrt_spanner_weighted
 from .verify import check_cover, check_stretch, stretch_bound
 
 SCHEMA = "rtspan.stats.v1"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str | None = None
-    output: str | None = None
-    k: int = 2
-    sources: str | None = None
-    seed: int = 0
-    c: int = 4
-    epsilon: float | None = None
-    trials_mult: int = 1
-    weighted_variant: bool = False
-    verify: bool = False
-    fmt: str = "edgelist"
-    extra: dict = field(default_factory=dict)
 
 
 def generate_graph(n, m, rng, w_min=1.0, w_max=2.0, strongly_connected=False,
@@ -123,9 +105,8 @@ def _resolve_vertices(spec, g, seed, stream, allow_empty=False):
     return sorted(rng.sample(range(g.n), count))
 
 
-def _params(cfg: RunConfig) -> CoverParams:
-    eps = 0.125 if cfg.epsilon is None else cfg.epsilon
-    return CoverParams(c=cfg.c, epsilon=eps, trial_mult=cfg.trials_mult)
+def _params(args) -> CoverParams:
+    return CoverParams(c=args.c, epsilon=args.epsilon, trial_mult=args.trials_mult)
 
 
 def _dumps(obj) -> str:
@@ -140,17 +121,17 @@ def _write_text(text: str, path: str | None):
             fh.write(text)
 
 
-def _emit(cfg: RunConfig, primary_text: str | None, stats: dict):
+def _emit(args, primary_text: str, stats: dict):
     """edgelist: primary artifact to --output/stdout, stats to a sidecar
     file or stderr.  json-stats: the stats document is the only output."""
-    if cfg.fmt == "json-stats" or primary_text is None:
-        _write_text(_dumps(stats), cfg.output)
+    if args.format == "json-stats":
+        _write_text(_dumps(stats), args.output)
         return
-    _write_text(primary_text, cfg.output)
-    if cfg.output is None:
+    _write_text(primary_text, args.output)
+    if args.output is None:
         sys.stderr.write(_dumps(stats))
     else:
-        _write_text(_dumps(stats), cfg.output + ".stats.json")
+        _write_text(_dumps(stats), args.output + ".stats.json")
 
 
 def _stretch_dict(rep) -> dict:
@@ -165,65 +146,61 @@ def _stretch_dict(rep) -> dict:
     }
 
 
-def cmd_gen(cfg: RunConfig) -> int:
-    x = cfg.extra
-    rng = random.Random(f"{cfg.seed}:gen")
-    g = generate_graph(x["n"], x["m"], rng, w_min=x["w_min"], w_max=x["w_max"],
-                       strongly_connected=x["strongly_connected"], quantum=x["quantum"])
+def cmd_gen(args) -> int:
+    rng = random.Random(f"{args.seed}:gen")
+    g = generate_graph(args.n, args.m, rng, w_min=args.w_min, w_max=args.w_max,
+                       strongly_connected=args.strongly_connected, quantum=args.quantum)
     text = write_edge_list(g)
     stats = {
-        "schema": SCHEMA, "command": "gen", "seed": cfg.seed,
-        "n": g.n, "m": g.m, "w_min": x["w_min"], "w_max": x["w_max"],
-        "strongly_connected": x["strongly_connected"], "quantum": x["quantum"],
+        "schema": SCHEMA, "command": "gen", "seed": args.seed,
+        "n": g.n, "m": g.m, "w_min": args.w_min, "w_max": args.w_max,
+        "strongly_connected": args.strongly_connected, "quantum": args.quantum,
     }
-    if cfg.fmt == "json-stats":
+    if args.format == "json-stats":
         stats["edge_list"] = text
-        _write_text(_dumps(stats), cfg.output)
-    else:
-        _emit(cfg, text, stats)
+    _emit(args, text, stats)
     return 0
 
 
-def cmd_spanner(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input)
-    sources = _resolve_vertices(cfg.sources, g, cfg.seed, "sources")
-    params = _params(cfg)
+def cmd_spanner(args) -> int:
+    g = _load_graph(args.input)
+    sources = _resolve_vertices(args.sources, g, args.seed, "sources")
+    params = _params(args)
     scale = 1.0
     gb = g
-    if cfg.weighted_variant and g.m > 0:
+    if args.weighted_variant and g.m > 0:
         w_min = min(w for _, _, w in g.edges)
         if w_min < 1.0:
             # weighted construction needs weights >= 1; stretch is scale-free
             scale = 1.0 / w_min
             gb = Graph(g.n, [(u, v, w * scale) for u, v, w in g.edges])
-    rng = random.Random(f"{cfg.seed}:spanner")
-    build = swrt_spanner_weighted if cfg.weighted_variant else swrt_spanner
-    result = build(gb, cfg.k, sources, params=params, rng=rng)
+    rng = random.Random(f"{args.seed}:spanner")
+    build = swrt_spanner_weighted if args.weighted_variant else swrt_spanner
+    result = build(gb, args.k, sources, params=params, rng=rng)
     stats = {
-        "schema": SCHEMA, "command": "spanner", "seed": cfg.seed,
+        "schema": SCHEMA, "command": "spanner", "seed": args.seed,
         "weight_scale": scale, "sources_resolved": sources,
     }
     stats.update(result.stats)
     ok = True
-    if cfg.verify:
-        rep = check_stretch(g, result.edges, sources, stretch_bound(cfg.k, g.n, params.c))
+    if args.verify:
+        rep = check_stretch(g, result.edges, sources, stretch_bound(args.k, g.n, params.c))
         stats["stretch"] = _stretch_dict(rep)
         ok = rep.passed
     text = write_edge_list(Graph(g.n, [g.edges[i] for i in result.edges]))
-    _emit(cfg, text, stats)
+    _emit(args, text, stats)
     return 0 if ok else 1
 
 
-def cmd_cover(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input)
-    radius = cfg.extra["radius"]
-    sources = _resolve_vertices(cfg.sources, g, cfg.seed, "sources")
-    rng = random.Random(f"{cfg.seed}:cover")
-    cov = swrt_cover(g, cfg.k, radius, sources, params=_params(cfg), rng=rng)
+def cmd_cover(args) -> int:
+    g = _load_graph(args.input)
+    sources = _resolve_vertices(args.sources, g, args.seed, "sources")
+    rng = random.Random(f"{args.seed}:cover")
+    cov = swrt_cover(g, args.k, args.radius, sources, params=_params(args), rng=rng)
     counts = cov.vertex_ball_counts()
     stats = {
-        "schema": SCHEMA, "command": "cover", "seed": cfg.seed,
-        "k": cfg.k, "radius": radius, "inner_radius": cov.r,
+        "schema": SCHEMA, "command": "cover", "seed": args.seed,
+        "k": args.k, "radius": args.radius, "inner_radius": cov.r,
         "trials": cov.trials, "max_depth": cov.max_depth,
         "sources_resolved": sources,
         "balls": [{"center": b.center, "radius": b.radius, "size": len(b.members)}
@@ -232,7 +209,7 @@ def cmd_cover(cfg: RunConfig) -> int:
         "max_vertex_ball_count": max(counts.values()) if counts else 0,
     }
     ok = True
-    if cfg.verify:
+    if args.verify:
         rep = check_cover(g, cov, sources)
         stats["cover_check"] = {
             "qualifying_pairs": rep.qualifying_pairs,
@@ -246,25 +223,24 @@ def cmd_cover(cfg: RunConfig) -> int:
         ok = rep.passed
     edge_ids = sorted({e for b in cov.balls for e in b.rt_tree_edges})
     text = write_edge_list(Graph(g.n, [g.edges[i] for i in edge_ids]))
-    _emit(cfg, text, stats)
+    _emit(args, text, stats)
     return 0 if ok else 1
 
 
-def cmd_partition(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input)
-    x = cfg.extra
-    centers = _resolve_vertices(x["centers"], g, cfg.seed, "centers", allow_empty=True)
-    rng = random.Random(f"{cfg.seed}:partition")
-    part = cluster(g, None, centers, x["radius"], x["s"], direction=x["direction"], rng=rng)
+def cmd_partition(args) -> int:
+    g = _load_graph(args.input)
+    centers = _resolve_vertices(args.centers, g, args.seed, "centers", allow_empty=True)
+    rng = random.Random(f"{args.seed}:partition")
+    part = cluster(g, None, centers, args.radius, args.s, direction=args.direction, rng=rng)
     stats = {
-        "schema": SCHEMA, "command": "partition", "seed": cfg.seed,
-        "radius": x["radius"], "s": x["s"], "direction": x["direction"],
+        "schema": SCHEMA, "command": "partition", "seed": args.seed,
+        "radius": args.radius, "s": args.s, "direction": args.direction,
         "centers_resolved": centers,
         "clusters": [{"center": c.center, "radius": c.radius,
                       "members": sorted(c.members)} for c in part.clusters],
         "residual": sorted(part.residual),
     }
-    _write_text(_dumps(stats), cfg.output)
+    _write_text(_dumps(stats), args.output)
     return 0
 
 
@@ -283,40 +259,45 @@ def _match_edge_indexes(g: Graph, h: Graph):
     return out
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input)
-    h = _load_graph(cfg.extra["spanner"])
+def cmd_verify(args) -> int:
+    g = _load_graph(args.input)
+    h = _load_graph(args.spanner)
     if h.n != g.n:
         raise ValueError("spanner file must keep the input vertex count")
-    if cfg.k <= 1:
+    if args.k <= 1:
         raise ValueError("k must be an integer greater than 1")
     edge_ids = _match_edge_indexes(g, h)
-    sources = _resolve_vertices(cfg.sources, g, cfg.seed, "sources")
-    bound = cfg.extra["bound"]
+    sources = _resolve_vertices(args.sources, g, args.seed, "sources")
+    bound = args.bound
     if bound is None:
-        bound = stretch_bound(cfg.k, g.n, cfg.c)
+        bound = stretch_bound(args.k, g.n, args.c)
     rep = check_stretch(g, edge_ids, sources, bound)
     stats = {
-        "schema": SCHEMA, "command": "verify", "seed": cfg.seed,
-        "k": cfg.k, "c": cfg.c, "spanner_edges": h.m,
+        "schema": SCHEMA, "command": "verify", "seed": args.seed,
+        "k": args.k, "c": args.c, "spanner_edges": h.m,
         "sources_resolved": sources, "stretch": _stretch_dict(rep),
     }
-    _write_text(_dumps(stats), cfg.output)
+    _write_text(_dumps(stats), args.output)
     return 0 if rep.passed else 1
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    x = cfg.extra
-    params = _params(cfg)
+def _int_list(text: str):
+    vals = [int(t) for t in text.split(",") if t.strip()]
+    if not vals:
+        raise ValueError("empty value list")
+    return vals
+
+
+def cmd_bench(args) -> int:
+    ns, ss, ks = _int_list(args.bench_n), _int_list(args.bench_s), _int_list(args.bench_k)
+    params = _params(args)
     rows = []
     ok = True
-    for n in x["ns"]:
-        for s in x["ss"]:
-            for k in x["ks"]:
-                if k <= 1:
-                    raise ValueError("k must be an integer greater than 1")
-                cell = f"{cfg.seed}:bench:{n}:{s}:{k}"
-                m = min(n * (n - 1), x["m_mult"] * n)
+    for n in ns:
+        for s in ss:
+            for k in ks:
+                cell = f"{args.seed}:bench:{n}:{s}:{k}"
+                m = min(n * (n - 1), args.m_mult * n)
                 g = generate_graph(n, m, random.Random(cell + ":gen"),
                                    strongly_connected=True)
                 src = sorted(random.Random(cell + ":sources")
@@ -340,8 +321,8 @@ def cmd_bench(cfg: RunConfig) -> int:
                      f"{r['edges']:>7} {r['stretch']:>9} {r['failures']:>9} "
                      f"{str(r['passed']):>7} {r['seconds']:>9}")
     table = "\n".join(lines) + "\n"
-    stats = {"schema": SCHEMA, "command": "bench", "seed": cfg.seed, "rows": rows}
-    _emit(cfg, table, stats)
+    stats = {"schema": SCHEMA, "command": "bench", "seed": args.seed, "rows": rows}
+    _emit(args, table, stats)
     return 0 if ok else 1
 
 
@@ -351,25 +332,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Source-wise round-trip spanners and covers of weighted digraphs.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, *, input_required=True):
+    def common(p, run, *, input_required=True):
+        p.set_defaults(run=run)
         if input_required:
             p.add_argument("--input", required=True, help="edge list file")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="fmt", choices=("edgelist", "json-stats"),
-                       default="edgelist")
+        p.add_argument("--format", choices=("edgelist", "json-stats"), default="edgelist")
+
+    def constants(p):
+        p.add_argument("--c", type=int, default=CoverParams.c)
+        p.add_argument("--epsilon", type=float, default=CoverParams.epsilon)
+        p.add_argument("--trials-mult", type=int, default=CoverParams.trial_mult)
 
     def cover_knobs(p):
         p.add_argument("--k", type=int, default=2)
         p.add_argument("--sources", required=True,
                        help="vertex id file, or a count sampled from the seed")
-        p.add_argument("--c", type=int, default=4)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--trials-mult", type=int, default=1)
+        constants(p)
         p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("gen", help="generate a seeded random digraph")
-    common(p, input_required=False)
+    common(p, cmd_gen, input_required=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--w-min", type=float, default=1.0)
@@ -379,17 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight grid step; 0 for continuous uniforms")
 
     p = sub.add_parser("spanner", help="build a source-wise round-trip spanner")
-    common(p)
+    common(p, cmd_spanner)
     cover_knobs(p)
     p.add_argument("--weighted-variant", action="store_true")
 
     p = sub.add_parser("cover", help="build a source-wise round-trip cover")
-    common(p)
+    common(p, cmd_cover)
     cover_knobs(p)
     p.add_argument("--radius", type=float, required=True)
 
     p = sub.add_parser("partition", help="one randomized clustering pass")
-    common(p)
+    common(p, cmd_partition)
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--centers", required=True,
@@ -397,71 +381,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=("out", "in"), default="out")
 
     p = sub.add_parser("verify", help="re-check a spanner file against its graph")
-    common(p)
+    common(p, cmd_verify)
     p.add_argument("--spanner", required=True, help="spanner edge list file")
     p.add_argument("--sources", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--c", type=int, default=4)
+    p.add_argument("--c", type=int, default=CoverParams.c)
     p.add_argument("--bound", type=float, default=None,
                    help="stretch bound override (default derived from k, n, c)")
 
     p = sub.add_parser("bench", help="sweep an (n, s, k) grid")
-    common(p, input_required=False)
+    common(p, cmd_bench, input_required=False)
     p.add_argument("--bench-n", required=True, help="comma list of n values")
     p.add_argument("--bench-s", required=True, help="comma list of source counts")
     p.add_argument("--bench-k", required=True, help="comma list of k values")
     p.add_argument("--m-mult", type=int, default=4, help="edges per vertex")
-    p.add_argument("--c", type=int, default=4)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--trials-mult", type=int, default=1)
+    constants(p)
     return ap
-
-
-def _int_list(text: str):
-    vals = [int(t) for t in text.split(",") if t.strip()]
-    if not vals:
-        raise ValueError("empty value list")
-    return vals
-
-
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("input", "output", "k", "sources", "seed", "c", "epsilon",
-                 "trials_mult", "weighted_variant", "verify", "fmt"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if args.command == "gen":
-        cfg.extra = {"n": args.n, "m": args.m, "w_min": args.w_min,
-                     "w_max": args.w_max, "strongly_connected": args.strongly_connected,
-                     "quantum": args.quantum}
-    elif args.command == "cover":
-        cfg.extra = {"radius": args.radius}
-    elif args.command == "partition":
-        cfg.extra = {"radius": args.radius, "s": args.s, "centers": args.centers,
-                     "direction": args.direction}
-    elif args.command == "verify":
-        cfg.extra = {"spanner": args.spanner, "bound": args.bound}
-    elif args.command == "bench":
-        cfg.extra = {"ns": _int_list(args.bench_n), "ss": _int_list(args.bench_s),
-                     "ks": _int_list(args.bench_k), "m_mult": args.m_mult}
-    return cfg
-
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "spanner": cmd_spanner,
-    "cover": cmd_cover,
-    "partition": cmd_partition,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except (ValueError, EdgeListError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

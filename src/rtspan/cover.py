@@ -41,10 +41,12 @@ class CoverParams:
 class Cover:
     """Balls collected over one or more recursion runs.
 
-    failure_parts records whole working sets returned by a bail-out exit
-    (no radius guarantee; expected never in practice).  Within a single
-    run, ball member sets and failure parts are pairwise disjoint; across
-    trials they may overlap.
+    failure_parts records whole working sets returned by a bail-out exit,
+    with no radius guarantee.  The exit fires when the estimated core is
+    non-empty but smaller than a quarter of the working set, or when a
+    partition leaves one part above 7/8 of it.  Within a single run, ball
+    member sets and failure parts are pairwise disjoint; across trials
+    they may overlap.
     """
 
     balls: tuple
@@ -88,8 +90,8 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
         params = CoverParams()
     if rng is None:
         raise ValueError("rng is required")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < 2 * (params.c + 1) * r < math.inf:
+        raise ValueError("r must be positive, and 2(c+1)*r finite")
     base = frozenset(vertex_ids(g, restrict)) if restrict is not None else frozenset(range(g.n))
     S0 = frozenset(sources)
     if not S0 <= base:
@@ -173,8 +175,8 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
         raise ValueError("rng is required")
     if not isinstance(k, int) or k <= 1:
         raise ValueError("k must be an integer > 1")
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError("R must be positive and finite")
     S = frozenset(sources)
     if not S:
         raise ValueError("sources must be non-empty")
@@ -184,6 +186,9 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
 
     n = g.n
     r = 6.0 * R * k * math.log(n) if n >= 2 else float(R)
+    if not 2 * (params.c + 1) * r < math.inf:
+        raise ValueError("R must be small enough that the ball radius 2(c+1)*r, "
+                         "with r = 6*R*k*ln(n), stays finite")
     s = len(S)
     trials = params.trial_mult * params.c * _ceil_root(s, k) * max(1, math.ceil(math.log(n)))
 

@@ -92,8 +92,8 @@ def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
     _rows is internal: a row store over the same g and restrict, shared
     between estimates so that no row is searched twice.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     verts = vertex_ids(g, restrict)
     n = len(verts)
     if n == 0:

@@ -261,8 +261,8 @@ class BallResult:
 def round_trip_ball(g: Graph, restrict, center: int, radius: float) -> BallResult:
     """Members are the v in restrict with d(center,v)+d(v,center) <= radius,
     both legs measured inside G(restrict)."""
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    if not 0 <= radius < math.inf:
+        raise ValueError("radius must be non-negative and finite")
     fwd = sssp(g, restrict, center, OUT)
     bwd = sssp(g, restrict, center, IN)
     members = []

@@ -16,31 +16,6 @@ from dataclasses import dataclass
 from .graph import OUT, UNREACHABLE, Graph, dijkstra, membership, vertex_ids
 
 
-def exp_inverse_transform(u: float, beta: float) -> float:
-    """Map uniform u in (0,1] to Exponential(beta) by inversion: -ln(u)/beta."""
-    if beta <= 0:
-        raise ValueError("rate must be positive")
-    if not 0.0 < u <= 1.0:
-        raise ValueError("u must lie in (0, 1]")
-    return -math.log(u) / beta
-
-
-@dataclass
-class RadiusSampler:
-    """Exponential radius stream with rate beta over an injected rng."""
-
-    beta: float
-    rng: random.Random
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("rate must be positive")
-
-    def sample(self) -> float:
-        # 1 - random() lies in (0, 1], keeping the inverse transform defined
-        return exp_inverse_transform(1.0 - self.rng.random(), self.beta)
-
-
 @dataclass(frozen=True)
 class Cluster:
     """One part of a Partition.
@@ -90,8 +65,8 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError("s must be an integer >= 2")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("r must be positive and finite")
     member = membership(g, restrict)
     U = sorted(set(centers))
     for u in U:
@@ -103,14 +78,14 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
     if radii is None:
         if rng is None:
             raise ValueError("rng is required when radii are not injected")
-        sampler = RadiusSampler(math.log(s) / r, rng)
-        rad = {u: sampler.sample() for u in U}
+        rate = math.log(s) / r
+        rad = {u: rng.expovariate(rate) for u in U}
     else:
         rad = {}
         for u in U:
             ru = float(radii[u])
-            if ru < 0:
-                raise ValueError("injected radius must be non-negative")
+            if not 0 <= ru < math.inf:
+                raise ValueError("injected radius must be non-negative and finite")
             rad[u] = ru
 
     # Each center starts at offset maxr - r_u, so the smallest shifted

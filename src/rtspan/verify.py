@@ -89,6 +89,8 @@ def check_stretch(g: Graph, subgraph_edges, sources, bound: float) -> StretchRep
     for every (source, vertex) pair that is round-trip connected in the
     host.  A qualifying pair unreachable in the subgraph is an infinite
     violation; a finite one fails when its ratio exceeds the bound."""
+    if math.isnan(bound):
+        raise ValueError("bound must be a number, not NaN")
     srcs = sorted(set(sources))
     for s in srcs:
         if not (0 <= s < g.n):

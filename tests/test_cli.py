@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,12 @@ class TestCover:
         assert stats["max_vertex_ball_count"] <= stats["trials"]
         assert all(b["size"] >= 1 for b in stats["balls"])
 
+    @pytest.mark.parametrize("radius", ["nan", "inf", "1e308"])
+    def test_non_finite_radius_exits_2(self, graph_file, capsys, radius):
+        code, out, err = run(capsys, "cover", "--input", str(graph_file),
+                             "--sources", "3", "--radius", radius, "--verify")
+        assert code == 2 and out == "" and "R must" in err
+
     def test_trials_mult_plumbs_through(self, graph_file, capsys):
         def trials(mult):
             _, out, _ = run(capsys, "cover", "--input", str(graph_file),
@@ -189,6 +196,13 @@ class TestPartition:
         assert {c["center"] for c in doc["clusters"]} <= {2, 5, 9}
         claimed = [v for c in doc["clusters"] for v in c["members"]]
         assert sorted(claimed + doc["residual"]) == list(range(14))
+
+
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_non_finite_radius_exits_2(self, graph_file, capsys, radius):
+        code, out, err = run(capsys, "partition", "--input", str(graph_file),
+                             "--radius", radius, "--s", "4", "--centers", "3")
+        assert code == 2 and out == "" and "r must" in err
 
 
 class TestVerify:
@@ -239,6 +253,13 @@ class TestVerify:
         assert json.loads(out)["stretch"]["bound"] == 0.5
 
 
+    def test_nan_bound_exits_2(self, graph_file, capsys):
+        code, out, err = run(capsys, "verify", "--input", str(graph_file),
+                             "--spanner", str(graph_file), "--sources", "2",
+                             "--bound", "nan")
+        assert code == 2 and out == "" and "bound" in err
+
+
 class TestBench:
     def test_grid_rows(self, capsys):
         code, out, err = run(capsys, "bench", "--bench-n", "8,10",
@@ -256,6 +277,38 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--bench-n", "8",
                            "--bench-s", "2", "--bench-k", "1")
         assert code == 2 and "k must" in err
+
+
+class TestGoldenOutput:
+    """The json-stats documents of a seeded gen graph, byte for byte.  A
+    drifted default (c, epsilon, trials) or a changed rng stream shows up
+    here even where every structural check still passes."""
+
+    GOLDEN = Path(__file__).parent / "golden"
+
+    @pytest.fixture
+    def gen_file(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        code, _, _ = run(capsys, "gen", "--n", "12", "--m", "18", "--seed", "11",
+                         "--strongly-connected", "--w-max", "64", "--quantum", "1",
+                         "--output", str(path))
+        assert code == 0
+        return path
+
+    def test_spanner_json_stats(self, gen_file, capsys):
+        code, out, _ = run(capsys, "spanner", "--input", str(gen_file),
+                           "--sources", "3", "--seed", "5", "--verify",
+                           "--format", "json-stats")
+        assert code == 0
+        assert out == (self.GOLDEN / "cli_spanner.json").read_text()
+
+    def test_cover_json_stats(self, gen_file, capsys):
+        # radius 1 makes the partition branch and failure exits both run
+        code, out, _ = run(capsys, "cover", "--input", str(gen_file),
+                           "--sources", "3", "--radius", "1", "--seed", "5",
+                           "--verify", "--format", "json-stats")
+        assert code == 0
+        assert out == (self.GOLDEN / "cli_cover.json").read_text()
 
 
 class TestParsing:

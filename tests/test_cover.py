@@ -109,6 +109,13 @@ class TestRecursiveCover:
         with pytest.raises(ValueError, match="subset"):
             recursive_cover(g, [0, 1], 1.0, [3], rng=random.Random(0))
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 1e308])
+    def test_non_finite_ball_radius_rejected(self, r):
+        # 1e308 is finite, but the carve radius 2(c+1)*r overflows
+        g = random_graph("rc-nonfinite", 8, 24)
+        with pytest.raises(ValueError, match="r must"):
+            recursive_cover(g, None, r, [0, 3], rng=random.Random(0))
+
     def test_failure_exit_small_core(self, monkeypatch):
         g = random_graph("fx1", 16, 60, strongly_connected=True)
 
@@ -239,3 +246,11 @@ class TestSwrtCover:
             swrt_cover(g, 2, 1.0, [7], rng=rng)
         with pytest.raises(ValueError, match="rng"):
             swrt_cover(g, 2, 1.0, [0])
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, 1e308])
+    def test_non_finite_radius_rejected(self, R):
+        # each of these used to hang (inf, 1e308 once 6*R*k*ln n overflows)
+        # or return empty balls (nan) once two sources force the estimate path
+        g = random_graph("sc-nonfinite", 10, 30)
+        with pytest.raises(ValueError, match="R must"):
+            swrt_cover(g, 2, R, [0, 4], rng=random.Random(0))

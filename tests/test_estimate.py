@@ -120,6 +120,9 @@ class TestEstimate:
         rng = random.Random(0)
         with pytest.raises(ValueError, match="r must"):
             estimate_ball_fractions(g, None, 0.0, 0.5, [0], rng)
+        for r in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r must"):
+                estimate_ball_fractions(g, None, r, 0.5, [0], rng)
         with pytest.raises(ValueError, match="epsilon"):
             estimate_ball_fractions(g, None, 1.0, 1.0, [0], rng)
         with pytest.raises(ValueError, match="restrict"):

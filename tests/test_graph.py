@@ -165,6 +165,11 @@ class TestBalls:
         with pytest.raises(ValueError):
             round_trip_ball(self.cycle3(), [1, 2], 0, 1.0)
 
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must"):
+            round_trip_ball(self.cycle3(), None, 0, radius)
+
     def test_members_monotone_in_radius(self):
         g = random_graph("mono", 20, 70)
         prev = frozenset()

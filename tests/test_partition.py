@@ -5,42 +5,7 @@ import pytest
 
 from conftest import random_graph
 from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp
-from rtspan.partition import (
-    RadiusSampler,
-    cluster,
-    exp_inverse_transform,
-)
-
-
-class TestExponential:
-    def test_endpoint_u_one(self):
-        assert exp_inverse_transform(1.0, 3.7) == 0.0
-
-    def test_forced_value(self):
-        assert exp_inverse_transform(math.exp(-1.0), 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            exp_inverse_transform(0.5, 0.0)
-        with pytest.raises(ValueError):
-            exp_inverse_transform(0.5, -1.0)
-
-    def test_bad_u(self):
-        with pytest.raises(ValueError):
-            exp_inverse_transform(0.0, 1.0)
-        with pytest.raises(ValueError):
-            exp_inverse_transform(1.5, 1.0)
-
-    def test_monte_carlo_mean(self):
-        # analytic mean at rate 2 is 0.5; one-percent tolerance per contract
-        sampler = RadiusSampler(2.0, random.Random(12345))
-        n = 10 ** 6
-        total = sum(sampler.sample() for _ in range(n))
-        assert total / n == pytest.approx(0.5, rel=0.01)
-
-    def test_samples_non_negative(self):
-        sampler = RadiusSampler(0.25, random.Random(7))
-        assert all(sampler.sample() >= 0.0 for _ in range(1000))
+from rtspan.partition import cluster
 
 
 def brute_force_partition(g, restrict, centers, radii, direction):
@@ -97,6 +62,27 @@ class TestCluster:
             cluster(g, None, [0], 0.0, 2, rng=random.Random(0))
         with pytest.raises(ValueError, match="rng"):
             cluster(g, None, [0], 1.0, 2)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r_rejected(self, r):
+        g = Graph(3, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="r must"):
+            cluster(g, None, [0], r, 2, rng=random.Random(0))
+        with pytest.raises(ValueError, match="injected radius"):
+            cluster(g, None, [0], 1.0, 2, radii={0: r})
+
+    def test_radii_are_expovariate_draws_in_center_order(self):
+        # Exp(ln(s)/r) clocks come straight from random.expovariate, one per
+        # center in sorted order, whatever order the centers are given in
+        g = random_graph("draws", 20, 60)
+        centers = [17, 3, 11, 0, 8]
+        r, s = 2.5, 5
+        p = cluster(g, None, centers, r, s, rng=random.Random(99), radii=None)
+        want = random.Random(99)
+        expected = {u: want.expovariate(math.log(s) / r) for u in sorted(centers)}
+        assert p.clusters
+        for c in p.clusters:
+            assert c.radius == expected[c.center]
 
     def test_partitions_restrict(self):
         for i in range(20):

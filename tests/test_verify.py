@@ -102,6 +102,12 @@ class TestCheckStretch:
         with pytest.raises(ValueError, match="not a vertex"):
             check_stretch(g, [], [4], 1.0)
 
+    def test_nan_bound_rejected(self):
+        # every ratio > nan is False, so a NaN bound would pass any subgraph
+        g = Graph(2, [(0, 1, 1.0), (1, 0, 1.0)])
+        with pytest.raises(ValueError, match="bound"):
+            check_stretch(g, [0, 1], [0], math.nan)
+
 
 class TestCheckCover:
     def two_cycle(self):
