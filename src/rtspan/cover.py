@@ -83,8 +83,8 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
     near vertices in some ball.  sources must be a subset of restrict.
 
     _root_rows is internal: a distance row store over restrict, handed to
-    the estimate of the whole working set so that runs over one set share
-    their searches.
+    the estimate and the carves of the whole working set so that runs over
+    one set share their searches and balls.
     """
     if params is None:
         params = CoverParams()
@@ -109,12 +109,13 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
         deepest = max(deepest, depth)
         if not verts or not S:
             continue
+        root = _root_rows if verts is base else None
+        memo = root.balls if root is not None else None
         if len(S) == 1:
             (u,) = S
-            balls.append(round_trip_ball(g, verts, u, r))
+            balls.append(round_trip_ball(g, verts, u, r, _memo=memo))
             continue
-        est = estimate_ball_fractions(g, verts, c * r, params.epsilon, verts, rng,
-                                      _rows=_root_rows if verts is base else None)
+        est = estimate_ball_fractions(g, verts, c * r, params.epsilon, verts, rng, _rows=root)
         u_out = {u for u in verts if est.f_out(u) >= 0.75}
         u_in = {u for u in verts if est.f_in(u) >= 0.75}
         core = u_out & u_in
@@ -127,7 +128,7 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
                 continue
             u = min(core)
             ru = rng.uniform(2 * c * r, 2 * (c + 1) * r)
-            b = round_trip_ball(g, verts, u, ru)
+            b = round_trip_ball(g, verts, u, ru, _memo=memo)
             balls.append(b)
             stack.append((verts - b.members, S - b.members, depth + 1))
             continue
@@ -154,7 +155,7 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
 
 
 def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None = None,
-               rng: random.Random | None = None) -> Cover:
+               rng: random.Random | None = None, *, _root_rows: _RowStore | None = None) -> Cover:
     """Source-wise round-trip cover at target distance R.
 
     Sets the carve radius r = 6*R*k*ln(n) and unions the balls of
@@ -163,11 +164,17 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     change without disturbing earlier trials.
 
     Every run starts from the full vertex set, so the runs share one
-    store of distance rows over it: each (direction, source) row of the
-    first estimate is searched once per cover instead of once per trial.
-    Each estimate still asks for at most min(n, t) rows, as the paper's
-    per-estimate search bound assumes; later working sets are subgraphs
-    with their own distances and are searched afresh.
+    root store over it: each (direction, source) row of the first
+    estimate is searched once per cover instead of once per trial, and
+    each carve from the full set reuses the two searches from its center
+    and, for an equal member count, the ball itself.  Each estimate still
+    asks for at most min(n, t) rows, as the paper's per-estimate search
+    bound assumes; later working sets are subgraphs with their own
+    distances and are searched afresh.  The estimates draw their samples
+    in bulk, bit-identical to one randrange call per sample.
+
+    _root_rows is internal: a root store over all of g that an earlier
+    cover of the same graph filled, in place of a fresh one.
     """
     if params is None:
         params = CoverParams()
@@ -193,7 +200,7 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     trials = params.trial_mult * params.c * _ceil_root(s, k) * max(1, math.ceil(math.log(n)))
 
     base = rng.getrandbits(64)
-    root_rows = _RowStore(g, vertex_ids(g, allv))
+    root_rows = _root_rows if _root_rows is not None else _RowStore(g, vertex_ids(g, allv))
     balls = []
     failures = []
     deepest = 0

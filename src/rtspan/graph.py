@@ -12,6 +12,7 @@ exists for bulk distance queries; infinities stay behind that boundary.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -258,32 +259,47 @@ class BallResult:
     rt_tree_edges: frozenset
 
 
-def round_trip_ball(g: Graph, restrict, center: int, radius: float) -> BallResult:
+def round_trip_ball(g: Graph, restrict, center: int, radius: float, *,
+                    _memo: dict | None = None) -> BallResult:
     """Members are the v in restrict with d(center,v)+d(v,center) <= radius,
-    both legs measured inside G(restrict)."""
+    both legs measured inside G(restrict).
+
+    The members are a prefix of the vertices in round-trip distance order,
+    so a ball is fixed by its center and member count.  _memo is internal:
+    a dict shared by calls over one g and restrict that keeps, per center,
+    the two searches and the (members, tree edges) of each member count
+    found so far, so repeated carves from one working set search once.
+    """
     if not 0 <= radius < math.inf:
         raise ValueError("radius must be non-negative and finite")
-    fwd = sssp(g, restrict, center, OUT)
-    bwd = sssp(g, restrict, center, IN)
-    members = []
-    for v in vertex_ids(g, restrict):
-        a = fwd.dist[v]
-        b = bwd.dist[v]
-        if a is not UNREACHABLE and b is not UNREACHABLE and a + b <= radius:
-            members.append(v)
-    tree = set()
-    for dv in (fwd, bwd):
-        walked = set()
-        for v in members:
-            # climb parent pointers until we hit the center or a chain
-            # already collected
-            while v != center and v not in walked:
-                walked.add(v)
-                e = dv.parent_edge[v]
-                tree.add(e)
-                src, dst, _ = g.edges[e]
-                v = src if dv.direction == OUT else dst
-    return BallResult(center, float(radius), frozenset(members), frozenset(tree))
+    known = None if _memo is None else _memo.get(center)
+    if known is None:
+        fwd = sssp(g, restrict, center, OUT)
+        bwd = sssp(g, restrict, center, IN)
+        ranked = sorted((fwd.dist[v] + bwd.dist[v], v) for v in vertex_ids(g, restrict)
+                        if fwd.reached(v) and bwd.reached(v))
+        known = (fwd, bwd, [d for d, _ in ranked], [v for _, v in ranked], {})
+        if _memo is not None:
+            _memo[center] = known
+    fwd, bwd, keys, order, balls = known
+    count = bisect_right(keys, radius)
+    ball = balls.get(count)
+    if ball is None:
+        members = order[:count]
+        tree = set()
+        for dv in (fwd, bwd):
+            walked = set()
+            for v in members:
+                # climb parent pointers until we hit the center or a chain
+                # already collected
+                while v != center and v not in walked:
+                    walked.add(v)
+                    e = dv.parent_edge[v]
+                    tree.add(e)
+                    src, dst, _ = g.edges[e]
+                    v = src if dv.direction == OUT else dst
+        ball = balls[count] = (frozenset(members), frozenset(tree))
+    return BallResult(center, float(radius), *ball)
 
 
 def distance_matrix(g: Graph, restrict=None, sources=None, direction: str = OUT):

@@ -318,7 +318,8 @@ class ContractionBundle:
     x_hi: float
 
 
-def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree) -> ContractionBundle:
+def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree, *,
+             _dist=None, _graphs: dict | None = None) -> ContractionBundle:
     """Cut g down to the weight window [x_lo, x_hi].
 
     In order: groups mutually reachable within weight x_lo melt into one
@@ -327,6 +328,11 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree) -> Co
     them); vertices left without any edge drop.  Parallel super-edges
     keep only the lightest per ordered pair.  Sources follow their
     vertices and silently vanish when removed.
+
+    _dist and _graphs are internal, for build_scales: _dist holds
+    tree.distance of every edge's endpoints, by edge index, and _graphs
+    maps (vertex_map, edge_map) to the Graph already built for an equal
+    window, which is then returned again instead of a copy.
     """
     if x_lo > x_hi:
         raise ValueError("window must satisfy x_lo <= x_hi")
@@ -341,7 +347,7 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree) -> Co
         lu, lv = leader[u], leader[v]
         if lu == lv:
             continue
-        d = tree.distance(u, v)
+        d = tree.distance(u, v) if _dist is None else _dist[eidx]
         if d is UNREACHABLE or d > x_hi:
             continue
         key = (lu, lv)
@@ -354,7 +360,6 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree) -> Co
     cid = {ld: i for i, ld in enumerate(order)}
 
     pairs = sorted(survivors.items(), key=lambda kv: kv[1][1])
-    edges = [(cid[lu], cid[lv], w) for (lu, lv), (w, _) in pairs]
     edge_map = tuple(eidx for _, (_, eidx) in pairs)
 
     vmap = [None] * g.n
@@ -364,11 +369,18 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree) -> Co
         if c is not None:
             vmap[v] = c
             grp[c].append(v)
+    vmap = tuple(vmap)
+
+    graphs = {} if _graphs is None else _graphs
+    graph = graphs.get((vmap, edge_map))
+    if graph is None:
+        graph = graphs[vmap, edge_map] = Graph(
+            len(order), [(cid[lu], cid[lv], w) for (lu, lv), (w, _) in pairs])
 
     return ContractionBundle(
         None,
-        Graph(len(order), edges),
-        tuple(vmap),
+        graph,
+        vmap,
         edge_map,
         tuple(frozenset(x) for x in grp),
         frozenset(vmap[s] for s in set(sources) if vmap[s] is not None),
@@ -385,16 +397,19 @@ def build_scales(g: Graph, sources, tree: MergeTree):
     when max(w, d) <= 2^t and d > 2^t/n.  Candidate t values come from
     logarithms, then get filtered with the same float predicates contract
     applies, so enumeration and contraction cannot disagree.
+
+    Each edge's bottleneck distance is looked up once and handed to every
+    contract call, and windows with equal vertex and edge maps share one
+    Graph object, so a cover of one window can hand its searches on to
+    the next.
     """
     n = g.n
     if n < 2 or g.m == 0:
         return []
+    dist = [tree.distance(u, v) for u, v, _ in g.edges]
     cand = set()
-    for u, v, w in g.edges:
-        if u == v:
-            continue
-        d = tree.distance(u, v)
-        if d is UNREACHABLE:
+    for (u, v, w), d in zip(g.edges, dist):
+        if u == v or d is UNREACHABLE:
             continue
         lo = math.floor(math.log2(max(w, d))) - 2
         hi = math.ceil(math.log2(d * n)) + 2
@@ -403,9 +418,10 @@ def build_scales(g: Graph, sources, tree: MergeTree):
             if max(w, d) <= x and d > x / n:
                 cand.add(t)
     bundles = []
+    graphs = {}
     for t in sorted(cand):
         x = 2.0 ** t
-        b = contract(g, sources, x / n, x, tree)
+        b = contract(g, sources, x / n, x, tree, _dist=dist, _graphs=graphs)
         assert b.graph.m > 0, "enumerated scale contracted to nothing"
         bundles.append(replace(b, t=t))
     return bundles

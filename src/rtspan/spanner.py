@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .cover import CoverParams, swrt_cover
+from .estimate import _RowStore
 from .graph import Graph
 from .linfty import build_scales, linfty_merge_tree
 
@@ -56,16 +57,25 @@ def _assemble(stats: dict, windows, k: int, params, rng, provenance: dict) -> Sp
     window without sources is recorded but not covered.  Each window draws
     from its own stream, seeded by one draw from rng and its tag.  stats,
     the header of the result's counters, gains the rows and the totals.
+
+    A cover's root store (distance rows and balls over the whole window)
+    holds no radius, so when the next covered window is the same Graph
+    object, the live store is handed on to its cover and nothing searched
+    is searched again.  Only the newest store is kept: a store per window
+    for the whole build would hold every window's rows at once.
     """
     base = rng.getrandbits(64)
     rows = []
+    store = None
     for tag, row, graph, edge_map, sources, R in windows:
         rows.append(row)
         if not sources:
             row.update(trials=0, balls=0, failures=0, max_depth=0, new_edges=0)
             continue
+        if store is None or store.g is not graph:
+            store = _RowStore(graph, list(range(graph.n)))
         cov = swrt_cover(graph, k, R, sources, params=params,
-                         rng=random.Random(f"{base}:{tag}"))
+                         rng=random.Random(f"{base}:{tag}"), _root_rows=store)
         new_edges = 0
         for ball in cov.balls:
             for e in ball.rt_tree_edges:

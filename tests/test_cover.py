@@ -7,6 +7,7 @@ import pytest
 
 import rtspan.cover as cover_mod
 import rtspan.estimate as est_mod
+import rtspan.graph as graph_mod
 from conftest import edge_subgraph, random_graph, ring_with_chords
 from rtspan.cover import Cover, CoverParams, _ceil_root, recursive_cover, swrt_cover
 from rtspan.graph import IN, OUT, Graph, round_trip_ball, sssp
@@ -216,6 +217,46 @@ class TestSwrtCover:
         assert cov.trials == 32
         assert len(searched) == 2 * 24
         assert max(searched.values()) == 1
+
+    @pytest.mark.parametrize("n, chords, R", [(30, 4, 3.0), (40, 6, 4.0)])
+    def test_trials_share_root_balls(self, n, chords, R, monkeypatch):
+        # on these rings most carves from the full set take only part of
+        # it, at several member counts; at n=30 the partition also runs and
+        # smaller working sets are carved
+        g = ring_with_chords("ring-a", n, chords)
+        root = frozenset(range(n))
+        carves = []
+        searched = Counter()
+        real_ball, real_sssp = cover_mod.round_trip_ball, graph_mod.sssp
+
+        def ball_spy(g_, restrict, center, radius, **kw):
+            b = real_ball(g_, restrict, center, radius, **kw)
+            carves.append((restrict, b))
+            return b
+
+        def sssp_spy(g_, restrict, source, direction=OUT):
+            if restrict == root:
+                searched[source, direction] += 1
+            return real_sssp(g_, restrict, source, direction)
+
+        monkeypatch.setattr(cover_mod, "round_trip_ball", ball_spy)
+        monkeypatch.setattr(graph_mod, "sssp", sssp_spy)
+        cov = swrt_cover(g, 2, R, [0, n // 3, 2 * n // 3], rng=random.Random(3))
+        monkeypatch.undo()
+
+        assert [b for _, b in carves] == list(cov.balls)
+        at_root = [b for restrict, b in carves if restrict == root]
+        assert sum(len(b.members) < n for b in at_root) > len(at_root) / 2
+        assert len({len(b.members) for b in at_root}) >= 2
+        # every center of a carve from the full set is searched once per
+        # direction in the whole cover, however many trials carve from it
+        centers = {b.center for b in at_root}
+        assert len(centers) < len(at_root)
+        assert set(searched) == {(u, d) for u in centers for d in (OUT, IN)}
+        assert max(searched.values()) == 1
+        for restrict, b in carves:
+            fresh = round_trip_ball(g, restrict, b.center, b.radius)
+            assert (b.members, b.rt_tree_edges) == (fresh.members, fresh.rt_tree_edges)
 
     def test_runs_leave_no_reference_cycles(self):
         # a trial's estimates and balls are freed as soon as it ends, not

@@ -5,7 +5,8 @@ import pytest
 
 import rtspan.estimate as est_mod
 from conftest import random_graph
-from rtspan.estimate import FractionEstimates, _RowStore, estimate_ball_fractions, sample_count
+from rtspan.estimate import (FractionEstimates, _randrange_draws, _RowStore, estimate_ball_fractions,
+                             sample_count)
 from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp, vertex_ids
 
 
@@ -27,18 +28,48 @@ class TestSampleCount:
                 sample_count(16, eps)
 
 
-class FixedSequence:
-    """rng stub whose randrange walks a preset index list."""
+class TestRandrangeDraws:
+    # the estimator takes its samples' random words in bulk; they must give
+    # the draws of one rng.randrange(n) call per sample and leave rng in the
+    # same state, or every seeded output downstream would change
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 120, 128, 129, 200, 256, 65536, 2 ** 31 + 5])
+    def test_bit_identical_to_randrange(self, n):
+        for t in (1, 7, 1532):
+            for seed in range(4):
+                want_rng, got_rng = random.Random(seed), random.Random(seed)
+                want = [want_rng.randrange(n) for _ in range(t)]
+                assert _randrange_draws(got_rng, n, t).tolist() == want
+                assert got_rng.getstate() == want_rng.getstate()
 
-    def __init__(self, seq):
+    def test_estimate_samples_are_randrange_draws(self):
+        g = random_graph("est-draws", 50, 180)
+        verts = vertex_ids(g, range(3, 48, 2))
+        want_rng, got_rng = random.Random(12), random.Random(12)
+        est = estimate_ball_fractions(g, verts, 2.0, 0.5, verts[:5], got_rng)
+        assert est.sample == tuple(verts[want_rng.randrange(len(verts))] for _ in range(est.t))
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+class FixedSequence:
+    """rng stub whose draws walk a preset index list over a working set of
+    n vertices.  The estimator draws 32-bit words from getrandbits, first
+    word least significant, and keeps the top n.bit_length() bits of each,
+    as randrange(n) does; the stub puts each preset index in those bits."""
+
+    def __init__(self, seq, n):
         self.seq = list(seq)
+        self.n = n
         self.pos = 0
 
-    def randrange(self, n):
-        v = self.seq[self.pos % len(self.seq)]
-        self.pos += 1
-        assert 0 <= v < n
-        return v
+    def getrandbits(self, k):
+        assert k % 32 == 0
+        out = 0
+        for i in range(k // 32):
+            v = self.seq[self.pos % len(self.seq)]
+            self.pos += 1
+            assert 0 <= v < self.n
+            out |= v << (32 - self.n.bit_length()) << (32 * i)
+        return out
 
 
 def recount(g, restrict, r, u, sample):
@@ -70,7 +101,7 @@ class TestEstimate:
 
     def test_counts_are_exact_sample_hits(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        rng = FixedSequence([0, 1, 2, 2])
+        rng = FixedSequence([0, 1, 2, 2], 3)
         est = estimate_ball_fractions(g, None, 1.0, 0.9, [0, 1, 2], rng)
         # t = ceil(5 * (10/9)^2 * ln 3) = 7, sample cycles 0,1,2,2,0,1,2
         assert est.t == 7
@@ -92,7 +123,7 @@ class TestEstimate:
 
     def test_sample_side_branch_matches_recount(self):
         g = random_graph("est-s", 40, 150)
-        rng = FixedSequence([0, 3, 5])          # 3 distinct draws, 40 queries
+        rng = FixedSequence([0, 3, 5], 40)      # 3 distinct draws, 40 queries
         est = estimate_ball_fractions(g, None, 2.0, 0.5, range(40), rng)
         assert len(set(est.sample)) == 3
         for u in range(40):
@@ -102,7 +133,7 @@ class TestEstimate:
 
     def test_restrict_hides_outside_vertices(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        rng = FixedSequence([0, 1])
+        rng = FixedSequence([0, 1], 2)
         est = estimate_ball_fractions(g, [0, 1], 5.0, 0.9, [0], rng)
         assert set(est.sample) <= {0, 1}
         # 2 is cut away, so nothing comes back into 0

@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -383,6 +384,23 @@ class TestBuildScales:
             assert again.graph.edges == b.graph.edges
             assert again.vertex_map == tuple(range(b.graph.n))
             assert again.sources == b.sources
+
+    def test_equal_windows_share_one_graph(self):
+        # grid weights: scales 1-5 are one window, and scale 6 melts groups
+        g = random_graph("bs-share", 40, 160, strongly_connected=True)
+        tree, _ = linfty_merge_tree(g)
+        src = [0, 5, 11, 17]
+        bundles = build_scales(g, src, tree)
+        pairs = [(a, b) for i, a in enumerate(bundles) for b in bundles[i + 1:]]
+        same = [(a.vertex_map, a.edge_map) == (b.vertex_map, b.edge_map) for a, b in pairs]
+        assert any(same) and not all(same)
+        for (a, b), equal in zip(pairs, same):
+            assert (a.graph is b.graph) == equal
+        # sharing and the distances build_scales hands on change no window
+        for b in bundles:
+            alone = contract(g, src, b.x_lo, b.x_hi, tree)
+            assert (alone.graph.n, alone.graph.edges) == (b.graph.n, b.graph.edges)
+            assert replace(alone, t=b.t, graph=b.graph) == b
 
     def test_trivial_graphs(self):
         tree, _ = linfty_merge_tree(Graph(1, []))

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+import rtspan.estimate as est_mod
 from conftest import random_graph, ring_with_chords
 from rtspan.cover import CoverParams
-from rtspan.graph import Graph
-from rtspan.linfty import linfty_merge_tree
+from rtspan.graph import OUT, Graph
+from rtspan.linfty import build_scales, linfty_merge_tree
 from rtspan.spanner import SpannerResult, swrt_spanner, swrt_spanner_weighted
 from rtspan.verify import check_stretch, stretch_bound
 
@@ -92,6 +93,33 @@ class TestScaleSpanner:
             swrt_spanner(g, 2, [], rng=rng)
         with pytest.raises(ValueError, match="not a vertex"):
             swrt_spanner(g, 2, [5], rng=rng)
+
+
+class TestSharedWindows:
+    def test_equal_windows_search_their_rows_once(self, monkeypatch):
+        # grid weights: scales 1-5 are one window, so their covers hand one
+        # root store on; every weighted window is the input graph itself
+        g = random_graph("bs-share", 40, 160, strongly_connected=True)
+        src = [0, 5, 11, 17]
+        tree, _ = linfty_merge_tree(g)
+        keys = [(b.vertex_map, b.edge_map) for b in build_scales(g, src, tree) if b.sources]
+        runs = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+        assert runs < len(keys)
+        root_calls = []
+        real = est_mod.distance_matrix
+
+        def spy(g_, restrict, sources=None, direction=OUT):
+            if len(restrict) == g_.n:
+                root_calls.append(direction)
+            return real(g_, restrict, sources=sources, direction=direction)
+
+        monkeypatch.setattr(est_mod, "distance_matrix", spy)
+        swrt_spanner(g, 2, src, rng=random.Random(5))
+        assert 0 < len(root_calls) <= 2 * runs
+        root_calls.clear()
+        res = swrt_spanner_weighted(g, 2, src, rng=random.Random(5))
+        assert len(res.stats["scales"]) > 1
+        assert 0 < len(root_calls) <= 2
 
 
 class TestWeightedSpanner:
