@@ -1,14 +1,16 @@
 """Command line front door.
 
 Subcommands: gen (seeded random digraphs), spanner, cover, partition
-(thin wrappers over the library), verify (re-check a spanner file against
-its graph), bench (sweep a parameter grid and tabulate).
+(thin wrappers over the library) and verify (re-check a spanner file
+against its graph).
 
 Output convention: --format edgelist writes the primary artifact as an
 edge list, with a stats document in <output>.stats.json (or on stderr
 when writing to stdout); --format json-stats writes one JSON document
-instead.  Every stats document records the seed.  Exit codes: 0 when all
-requested checks pass, 1 when one fails, 2 on bad input.
+instead.  Every stats document records the seed; spanner and cover
+documents also record the cover constants c, epsilon and trial_mult.
+Exit codes: 0 when all requested checks pass, 1 when one fails, 2 on bad
+input.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 import random
 import sys
-import time
+from dataclasses import asdict
 
 from .cover import CoverParams, swrt_cover
 from .graph import Graph, EdgeListError, parse_edge_list, write_edge_list
@@ -26,7 +28,7 @@ from .partition import cluster
 from .spanner import swrt_spanner, swrt_spanner_weighted
 from .verify import check_cover, check_stretch, stretch_bound
 
-SCHEMA = "rtspan.stats.v1"
+SCHEMA = "rtspan.stats.v2"
 
 
 def generate_graph(n, m, rng, w_min=1.0, w_max=2.0, strongly_connected=False,
@@ -179,7 +181,7 @@ def cmd_spanner(args) -> int:
     result = build(gb, args.k, sources, params=params, rng=rng)
     stats = {
         "schema": SCHEMA, "command": "spanner", "seed": args.seed,
-        "weight_scale": scale, "sources_resolved": sources,
+        "weight_scale": scale, "sources_resolved": sources, **asdict(params),
     }
     stats.update(result.stats)
     ok = True
@@ -195,14 +197,15 @@ def cmd_spanner(args) -> int:
 def cmd_cover(args) -> int:
     g = _load_graph(args.input)
     sources = _resolve_vertices(args.sources, g, args.seed, "sources")
+    params = _params(args)
     rng = random.Random(f"{args.seed}:cover")
-    cov = swrt_cover(g, args.k, args.radius, sources, params=_params(args), rng=rng)
+    cov = swrt_cover(g, args.k, args.radius, sources, params=params, rng=rng)
     counts = cov.vertex_ball_counts()
     stats = {
         "schema": SCHEMA, "command": "cover", "seed": args.seed,
         "k": args.k, "radius": args.radius, "inner_radius": cov.r,
         "trials": cov.trials, "max_depth": cov.max_depth,
-        "sources_resolved": sources,
+        "sources_resolved": sources, **asdict(params),
         "balls": [{"center": b.center, "radius": b.radius, "size": len(b.members)}
                   for b in cov.balls],
         "failure_parts": [len(p) for p in cov.failure_parts],
@@ -281,51 +284,6 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _int_list(text: str):
-    vals = [int(t) for t in text.split(",") if t.strip()]
-    if not vals:
-        raise ValueError("empty value list")
-    return vals
-
-
-def cmd_bench(args) -> int:
-    ns, ss, ks = _int_list(args.bench_n), _int_list(args.bench_s), _int_list(args.bench_k)
-    params = _params(args)
-    rows = []
-    ok = True
-    for n in ns:
-        for s in ss:
-            for k in ks:
-                cell = f"{args.seed}:bench:{n}:{s}:{k}"
-                m = min(n * (n - 1), args.m_mult * n)
-                g = generate_graph(n, m, random.Random(cell + ":gen"),
-                                   strongly_connected=True)
-                src = sorted(random.Random(cell + ":sources")
-                             .sample(range(n), min(s, n)))
-                t0 = time.perf_counter()
-                res = swrt_spanner(g, k, src, params=params,
-                                   rng=random.Random(cell + ":spanner"))
-                dt = time.perf_counter() - t0
-                rep = check_stretch(g, res.edges, src, stretch_bound(k, n, params.c))
-                ok = ok and rep.passed
-                rows.append({
-                    "n": n, "s": s, "k": k, "m": m,
-                    "edges": len(res.edges), "stretch": round(rep.worst_ratio, 4),
-                    "failures": res.stats["failures"],
-                    "passed": rep.passed, "seconds": round(dt, 4),
-                })
-    header = f"{'n':>6} {'s':>5} {'k':>3} {'m':>7} {'edges':>7} {'stretch':>9} {'failures':>9} {'passed':>7} {'seconds':>9}"
-    lines = [header]
-    for r in rows:
-        lines.append(f"{r['n']:>6} {r['s']:>5} {r['k']:>3} {r['m']:>7} "
-                     f"{r['edges']:>7} {r['stretch']:>9} {r['failures']:>9} "
-                     f"{str(r['passed']):>7} {r['seconds']:>9}")
-    table = "\n".join(lines) + "\n"
-    stats = {"schema": SCHEMA, "command": "bench", "seed": args.seed, "rows": rows}
-    _emit(args, table, stats)
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rtspan",
@@ -340,16 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("edgelist", "json-stats"), default="edgelist")
 
-    def constants(p):
-        p.add_argument("--c", type=int, default=CoverParams.c)
-        p.add_argument("--epsilon", type=float, default=CoverParams.epsilon)
-        p.add_argument("--trials-mult", type=int, default=CoverParams.trial_mult)
-
     def cover_knobs(p):
         p.add_argument("--k", type=int, default=2)
         p.add_argument("--sources", required=True,
                        help="vertex id file, or a count sampled from the seed")
-        constants(p)
+        p.add_argument("--c", type=int, default=CoverParams.c)
+        p.add_argument("--epsilon", type=float, default=CoverParams.epsilon)
+        p.add_argument("--trials-mult", type=int, default=CoverParams.trial_mult)
         p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("gen", help="generate a seeded random digraph")
@@ -389,13 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=float, default=None,
                    help="stretch bound override (default derived from k, n, c)")
 
-    p = sub.add_parser("bench", help="sweep an (n, s, k) grid")
-    common(p, cmd_bench, input_required=False)
-    p.add_argument("--bench-n", required=True, help="comma list of n values")
-    p.add_argument("--bench-s", required=True, help="comma list of source counts")
-    p.add_argument("--bench-k", required=True, help="comma list of k values")
-    p.add_argument("--m-mult", type=int, default=4, help="edges per vertex")
-    constants(p)
     return ap
 
 

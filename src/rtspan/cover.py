@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .estimate import _RowStore, estimate_ball_fractions
 from .graph import IN, OUT, Graph, round_trip_ball, vertex_ids
 from .partition import cluster
@@ -116,26 +118,30 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
             balls.append(round_trip_ball(g, verts, u, r, _memo=memo))
             continue
         est = estimate_ball_fractions(g, verts, c * r, params.epsilon, verts, rng, _rows=root)
-        u_out = {u for u in verts if est.f_out(u) >= 0.75}
-        u_in = {u for u in verts if est.f_in(u) >= 0.75}
-        core = u_out & u_in
+        # f >= 3/4 exactly when 4 * hits >= 3 * t, hits and t being integers;
+        # the queried ids are the working set, ascending
+        ids, t = est._centers, est.t
+        out_ok = 4 * est._out_hits >= 3 * t
+        in_ok = 4 * est._in_hits >= 3 * t
+        core = out_ok & in_ok
+        n_core = int(np.count_nonzero(core))
         nv = len(verts)
-        if core:
-            if len(core) < nv / 4:
+        if n_core:
+            if n_core < nv / 4:
                 # estimates disagree with themselves; bail out with one
                 # unguaranteed part rather than mis-carve
                 failures.append(frozenset(verts))
                 continue
-            u = min(core)
+            u = int(ids[np.argmax(core)])  # the smallest core vertex
             ru = rng.uniform(2 * c * r, 2 * (c + 1) * r)
             b = round_trip_ball(g, verts, u, ru, _memo=memo)
             balls.append(b)
             stack.append((verts - b.members, S - b.members, depth + 1))
             continue
-        if len(u_out) <= nv / 2:
-            part = cluster(g, verts, sorted(verts - u_out), r, len(S), OUT, rng)
+        if np.count_nonzero(out_ok) <= nv / 2:
+            part = cluster(g, verts, ids[~out_ok].tolist(), r, len(S), OUT, rng)
         else:
-            part = cluster(g, verts, sorted(verts - u_in), r, len(S), IN, rng)
+            part = cluster(g, verts, ids[~in_ok].tolist(), r, len(S), IN, rng)
         pieces = part.parts()
         if max(len(p) for p in pieces) > 7 * nv / 8:
             failures.append(frozenset(verts))

@@ -46,7 +46,7 @@ class TestGen:
                            "--seed", "4", "--format", "json-stats")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "rtspan.stats.v1"
+        assert doc["schema"] == "rtspan.stats.v2"
         assert doc["seed"] == 4
         g = parse_edge_list(doc["edge_list"])
         assert (g.n, g.m) == (6, 10)
@@ -85,7 +85,7 @@ class TestSpanner:
             assert e in pool
             pool.remove(e)
         stats = json.loads((tmp_path / "h.txt.stats.json").read_text())
-        assert stats["schema"] == "rtspan.stats.v1"
+        assert stats["schema"] == "rtspan.stats.v2"
         assert stats["stretch"]["passed"] is True
         assert stats["total_edges"] == h.m
         assert stats["sources_resolved"] == sorted(stats["sources_resolved"])
@@ -260,25 +260,6 @@ class TestVerify:
         assert code == 2 and out == "" and "bound" in err
 
 
-class TestBench:
-    def test_grid_rows(self, capsys):
-        code, out, err = run(capsys, "bench", "--bench-n", "8,10",
-                             "--bench-s", "2", "--bench-k", "2", "--m-mult", "3")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 3          # header plus one row per cell
-        assert lines[0].split() == ["n", "s", "k", "m", "edges", "stretch",
-                                    "failures", "passed", "seconds"]
-        doc = json.loads(err)
-        assert [r["n"] for r in doc["rows"]] == [8, 10]
-        assert all(r["passed"] for r in doc["rows"])
-
-    def test_bad_k_rejected(self, capsys):
-        code, _, err = run(capsys, "bench", "--bench-n", "8",
-                           "--bench-s", "2", "--bench-k", "1")
-        assert code == 2 and "k must" in err
-
-
 class TestGoldenOutput:
     """The json-stats documents of a seeded gen graph, byte for byte.  A
     drifted default (c, epsilon, trials) or a changed rng stream shows up
@@ -301,6 +282,17 @@ class TestGoldenOutput:
                            "--format", "json-stats")
         assert code == 0
         assert out == (self.GOLDEN / "cli_spanner.json").read_text()
+
+    def test_epsilon_changes_spanner_document(self, gen_file, capsys):
+        # the spanner's balls can come out equal under another epsilon, so
+        # the document must carry the constants to tell the runs apart
+        argv = ["spanner", "--input", str(gen_file), "--sources", "3", "--seed", "5",
+                "--format", "json-stats"]
+        _, default, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--epsilon", "0.25")
+        assert code == 0
+        assert json.loads(out)["epsilon"] == 0.25
+        assert out != default
 
     def test_cover_json_stats(self, gen_file, capsys):
         # radius 1 makes the partition branch and failure exits both run

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import rtspan.cover as cover_mod
@@ -121,10 +122,10 @@ class TestRecursiveCover:
         g = random_graph("fx1", 16, 60, strongly_connected=True)
 
         class Stub:
-            def f_out(self, u):
-                return 1.0 if u == 0 else 0.0
-
-            f_in = f_out
+            # the cover reads the queried ids and the hits per id out of t
+            t = 1
+            _centers = np.arange(16)
+            _out_hits = _in_hits = (np.arange(16) == 0).astype(np.int64)
 
         monkeypatch.setattr(cover_mod, "estimate_ball_fractions",
                             lambda *a, **kw: Stub())
@@ -137,10 +138,9 @@ class TestRecursiveCover:
         g = random_graph("fx2", 16, 60, strongly_connected=True)
 
         class Stub:
-            def f_out(self, u):
-                return 0.0
-
-            f_in = f_out
+            t = 1
+            _centers = np.arange(16)
+            _out_hits = _in_hits = np.zeros(16, dtype=np.int64)
 
         def giant(g_, verts, centers, r, s, direction, rng):
             members = frozenset(verts)

@@ -165,11 +165,14 @@ class TestEstimate:
 class TestSharedRows:
     # (r, epsilon, centers, seed): eps 0.9 draws t = 23 samples, so a query
     # of every vertex searches from the sample side; a query of a few
-    # vertices, or eps 0.25 with its hundreds of samples, from the query side
+    # vertices, or eps 0.25 with its hundreds of samples, from the query side.
+    # Seed 8 repeats the radius before it and searches rows the store lacks,
+    # so a [d <= r] matrix kept from seed 3 would be stale.
     CASES = [
         (2.0, 0.9, "all", 1),
         (1.0, 0.9, "all", 2),
         (2.0, 0.9, "few", 3),
+        (2.0, 0.9, "all", 8),
         (4.0, 0.5, "few", 4),
         (1.5, 0.25, "all", 5),
         (2.5, 0.9, "all", 6),
