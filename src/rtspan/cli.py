@@ -136,18 +136,6 @@ def _emit(args, primary_text: str, stats: dict):
         _write_text(_dumps(stats), args.output + ".stats.json")
 
 
-def _stretch_dict(rep) -> dict:
-    return {
-        "bound": rep.bound,
-        "qualifying_pairs": rep.qualifying_pairs,
-        "finite_violations": rep.finite_violations,
-        "infinite_violations": rep.infinite_violations,
-        "worst_ratio": rep.worst_ratio,
-        "worst_pair": list(rep.worst_pair) if rep.worst_pair else None,
-        "passed": rep.passed,
-    }
-
-
 def cmd_gen(args) -> int:
     rng = random.Random(f"{args.seed}:gen")
     g = generate_graph(args.n, args.m, rng, w_min=args.w_min, w_max=args.w_max,
@@ -187,7 +175,7 @@ def cmd_spanner(args) -> int:
     ok = True
     if args.verify:
         rep = check_stretch(g, result.edges, sources, stretch_bound(args.k, g.n, params.c))
-        stats["stretch"] = _stretch_dict(rep)
+        stats["stretch"] = asdict(rep)
         ok = rep.passed
     text = write_edge_list(Graph(g.n, [g.edges[i] for i in result.edges]))
     _emit(args, text, stats)
@@ -278,7 +266,7 @@ def cmd_verify(args) -> int:
     stats = {
         "schema": SCHEMA, "command": "verify", "seed": args.seed,
         "k": args.k, "c": args.c, "spanner_edges": h.m,
-        "sources_resolved": sources, "stretch": _stretch_dict(rep),
+        "sources_resolved": sources, "stretch": asdict(rep),
     }
     _write_text(_dumps(stats), args.output)
     return 0 if rep.passed else 1

@@ -120,9 +120,9 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
         est = estimate_ball_fractions(g, verts, c * r, params.epsilon, verts, rng, _rows=root)
         # f >= 3/4 exactly when 4 * hits >= 3 * t, hits and t being integers;
         # the queried ids are the working set, ascending
-        ids, t = est._centers, est.t
-        out_ok = 4 * est._out_hits >= 3 * t
-        in_ok = 4 * est._in_hits >= 3 * t
+        ids, t = est.centers, est.t
+        out_ok = 4 * est.out_hits >= 3 * t
+        in_ok = 4 * est.in_hits >= 3 * t
         core = out_ok & in_ok
         n_core = int(np.count_nonzero(core))
         nv = len(verts)
@@ -174,10 +174,11 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     estimate is searched once per cover instead of once per trial, and
     each carve from the full set reuses the two searches from its center
     and, for an equal member count, the ball itself.  Each estimate still
-    asks for at most min(n, t) rows, as the paper's per-estimate search
-    bound assumes; later working sets are subgraphs with their own
-    distances and are searched afresh.  The estimates draw their samples
-    in bulk, bit-identical to one randrange call per sample.
+    asks only for the rows of its distinct samples, at most t per
+    direction, as the paper's per-estimate search bound assumes; later
+    working sets are subgraphs with their own distances and are searched
+    afresh.  The estimates draw their samples in bulk, bit-identical to
+    one randrange call per sample.
 
     _root_rows is internal: a root store over all of g that an earlier
     cover of the same graph filled, in place of a fresh one.

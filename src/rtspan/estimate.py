@@ -3,27 +3,21 @@
 For each queried vertex u the estimator reports which fraction of the
 working vertex set lies within one-way distance r of u, outward and
 inward, from t = ceil(5 * eps^-2 * ln n) uniform samples drawn with
-replacement.  The samples are the draws t calls of rng.randrange(n)
-would return, leaving rng in the same state, but their random words are
-taken in bulk and filtered with numpy instead of one call per draw.
-Distances between the query side and the sample side come from one
-batched Dijkstra per direction over whichever side is smaller.
+replacement, as in Pachocki, Roditty, Sidford, Tov and Vassilevska
+Williams (SODA 2018).  The samples are the draws t calls of
+rng.randrange(n) would return, leaving rng in the same state, but their
+random words are taken in bulk and filtered with numpy instead of one
+call per draw.
 
-The Dijkstra rows live in a row store over the working set: per
-direction, one array of the rows searched so far and the 0/1 matrix
-[d <= r] of those rows at the last radius asked.  The sample hits of
-every queried vertex are then one matrix-vector product of that matrix
-with the sample multiplicities, whichever side was searched, and stay
-exact integers.  Each estimate searches only the rows its store lacks.
-A store over one working set can be shared by several estimates over
-that same set: the cover shares one across all trials that start from
-the full vertex set, all at one radius, and the spanner hands it on to
-the next window when that window is the same graph, so each such row is
-searched once per run of equal windows, and thresholded once per cover,
-rather than once per trial.  An estimate still asks for at most min(|centers|, t)
-rows, so its own search cost keeps the O(eps^-2 log n) bound; sharing
-only removes repeats.  The store also keeps the round-trip balls carved
-from that working set (see round_trip_ball).
+Distances always come from the sample side: one batched Dijkstra per
+direction from the distinct samples, so an estimate searches at most
+|distinct samples| <= t rows per direction, the O(eps^-2 log n) bound,
+however many vertices it queries.  The hits of every queried vertex are
+one matrix-vector product of the 0/1 matrix [d <= r] of those rows with
+the sample multiplicities, and stay exact integers.  The rows live in a
+row store over the working set, which the caller may share between
+estimates over that same set: an estimate then searches only the sample
+rows the store lacks, and thresholds them again only when r changes.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -49,48 +42,34 @@ def sample_count(n: int, epsilon: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FractionEstimates:
-    """Ball-fraction estimates for one radius.
+    """Ball-fraction estimates for one radius, as plain arrays.
 
-    out_counts/in_counts hold raw sample hits per queried vertex, so every
-    reported fraction is exactly a multiple of 1/t.  sample records the
-    drawn vertex ids with multiplicity (length t).  All three are built on
-    first use from arrays: the queried ids ascending, the drawn ids in draw
-    order, and the out and in hits aligned with the queried ids.
+    centers holds the queried vertex ids, ascending and distinct, and
+    out_hits/in_hits, aligned with them, how many of the t samples lie
+    within one-way distance r of each, outward and inward; so every
+    fraction f_out(u) = out_hits/t is exactly a multiple of 1/t.  sample
+    holds the drawn vertex ids in draw order, with multiplicity (length t).
     """
 
     r: float
     epsilon: float
     t: int
-    _centers: np.ndarray = field(repr=False)
-    _drawn: np.ndarray = field(repr=False)
-    _out_hits: np.ndarray = field(repr=False)
-    _in_hits: np.ndarray = field(repr=False)
+    centers: np.ndarray = field(repr=False)
+    sample: np.ndarray = field(repr=False)
+    out_hits: np.ndarray = field(repr=False)
+    in_hits: np.ndarray = field(repr=False)
 
-    @cached_property
-    def sample(self) -> tuple:
-        return tuple(self._drawn.tolist())
-
-    @cached_property
-    def out_counts(self) -> dict:
-        return dict(zip(self._centers.tolist(), self._out_hits.tolist()))
-
-    @cached_property
-    def in_counts(self) -> dict:
-        return dict(zip(self._centers.tolist(), self._in_hits.tolist()))
+    def _fraction(self, hits, u) -> float:
+        i = np.searchsorted(self.centers, u)
+        if i == len(self.centers) or self.centers[i] != u:
+            raise KeyError(f"vertex {u} was not queried")
+        return int(hits[i]) / self.t
 
     def f_out(self, u) -> float:
-        return self.out_counts[u] / self.t
+        return self._fraction(self.out_hits, u)
 
     def f_in(self, u) -> float:
-        return self.in_counts[u] / self.t
-
-    def _key(self):
-        return self.r, self.epsilon, self.t, self.sample, self.out_counts, self.in_counts
-
-    def __eq__(self, other):
-        if not isinstance(other, FractionEstimates):
-            return NotImplemented
-        return self._key() == other._key()
+        return self._fraction(self.in_hits, u)
 
 
 class _RowStore:
@@ -98,8 +77,8 @@ class _RowStore:
     each searched at most once however many estimates ask for it.
 
     Per direction, rows stacks the rows searched so far in one array, in
-    search order; pos holds the working-set position of each row and slot
-    the row of each position (-1 while not held).  cut caches the 0/1
+    search order; pos holds the working-set position of each row's source
+    and held marks the positions whose row is stacked.  cut caches the 0/1
     matrix [rows <= r] for the last radius asked, and is rebuilt when rows
     are added or r changes.  Rows are stacked as searched rather than laid
     out over the whole working set, so a store holds the rows its
@@ -115,40 +94,28 @@ class _RowStore:
         n = len(verts)
         self.rows = {d: np.zeros((0, n)) for d in (OUT, IN)}
         self.pos = {d: np.zeros(0, dtype=np.int64) for d in (OUT, IN)}
-        self.slot = {d: np.full(n, -1) for d in (OUT, IN)}
+        self.held = {d: np.zeros(n, dtype=bool) for d in (OUT, IN)}
         self.cut = {OUT: None, IN: None}
         self.balls = {}
 
-    def _threshold(self, positions, direction, r):
-        """[d <= r] over every held row, after one batched search for the
-        rows at `positions` (ascending working-set positions) not yet held."""
-        slot = self.slot[direction]
-        missing = positions[slot[positions] < 0]
+    def hits(self, cols, direction, r, weights):
+        """For every working-set position q, the sum of weights[p] over the
+        held rows p whose entry at q is <= r, after one batched search for
+        the rows at `cols` not yet held.  cols are ascending positions and
+        must include every p with weights[p] != 0; other held rows add 0."""
+        held = self.held[direction]
+        missing = cols[~held[cols]]
         if len(missing):
             block = distance_matrix(self.g, self.verts, sources=self.ids[missing].tolist(),
                                     direction=direction)
-            held = len(self.pos[direction])
-            slot[missing] = np.arange(held, held + len(missing))
+            held[missing] = True
             self.pos[direction] = np.concatenate((self.pos[direction], missing))
             self.rows[direction] = np.concatenate((self.rows[direction], block))
             self.cut[direction] = None
         cut = self.cut[direction]
         if cut is None or cut[0] != r:
             cut = self.cut[direction] = (r, (self.rows[direction] <= r).astype(float))
-        return cut[1]
-
-    def row_hits(self, positions, direction, r, weights):
-        """For each of `positions`, the sum of weights[q] over the entries
-        q of its row that are <= r."""
-        near = self._threshold(positions, direction, r)
-        return (near @ weights)[self.slot[direction][positions]]
-
-    def column_hits(self, positions, direction, r, weights):
-        """For every working-set position q, the sum of weights[p] over the
-        rows p whose entry at q is <= r.  `positions` must include every p
-        with weights[p] != 0; the other rows held add 0."""
-        near = self._threshold(positions, direction, r)
-        return weights[self.pos[direction]] @ near
+        return weights[self.pos[direction]] @ cut[1]
 
 
 def _randrange_draws(rng: random.Random, n: int, t: int) -> np.ndarray:
@@ -180,6 +147,9 @@ def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
     """Estimate out- and in-ball fractions at radius r for every vertex in
     centers, within G(restrict).  centers must be a subset of restrict.
 
+    Searches at most |distinct samples| <= t rows per direction, all from
+    the sample side, whether centers is one vertex or all of restrict.
+
     _rows is internal: a row store over the same g and restrict, shared
     between estimates so that no row is searched twice.
     """
@@ -194,32 +164,21 @@ def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
     elif _rows.g is not g or _rows.verts != verts:
         raise ValueError("row store belongs to another working set")
     ids = _rows.ids
-    if restrict is not None and centers is restrict:
-        # the cover's case: every vertex of the working set is queried
-        upos = np.arange(n)
-    else:
-        vset = set(verts)
-        U = sorted(set(centers))
-        for u in U:
-            if u not in vset:
-                raise ValueError(f"queried vertex {u} not inside restrict")
-        upos = np.searchsorted(ids, np.asarray(U, dtype=np.int64))
+    U = np.fromiter(sorted(set(centers)), dtype=np.int64)
+    upos = np.searchsorted(ids, U)
+    # a center above every id clips to the last id, which differs from it
+    outside = U[ids.take(upos, mode="clip") != U]
+    if len(outside):
+        raise ValueError(f"queried vertex {outside[0]} not inside restrict")
     t = sample_count(n, epsilon)
     drawn = _randrange_draws(rng, n, t)
     mult = np.bincount(drawn, minlength=n).astype(float)
     cols = np.flatnonzero(mult)  # positions of the distinct samples, ascending
 
-    # hits weight 0/1 thresholds by sample multiplicity; as sums of at most
-    # t integers they are exact in float64
-    if len(upos) <= len(cols):
-        # search from the query side: row u holds d(u, .) outward, d(., u) inward
-        out_hits = _rows.row_hits(upos, OUT, r, mult)
-        in_hits = _rows.row_hits(upos, IN, r, mult)
-    else:
-        # search from the sample side: row v holds d(v, .) outward, d(., v)
-        # inward; d(v, u) <= r counts toward f_in(u), d(u, v) <= r toward f_out(u)
-        in_hits = _rows.column_hits(cols, OUT, r, mult)[upos]
-        out_hits = _rows.column_hits(cols, IN, r, mult)[upos]
-
-    return FractionEstimates(float(r), float(epsilon), t, ids[upos], ids[drawn],
+    # row v holds d(v, .) outward and d(., v) inward: d(v, u) <= r counts
+    # toward f_in(u), d(u, v) <= r toward f_out(u).  Weighted by sample
+    # multiplicity, the hits are sums of at most t integers, exact in float64.
+    in_hits = _rows.hits(cols, OUT, r, mult)[upos]
+    out_hits = _rows.hits(cols, IN, r, mult)[upos]
+    return FractionEstimates(float(r), float(epsilon), t, U, ids[drawn],
                              out_hits.astype(np.int64), in_hits.astype(np.int64))

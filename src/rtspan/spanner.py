@@ -77,8 +77,9 @@ def _assemble(stats: dict, windows, k: int, params, rng, provenance: dict) -> Sp
         cov = swrt_cover(graph, k, R, sources, params=params,
                          rng=random.Random(f"{base}:{tag}"), _root_rows=store)
         new_edges = 0
-        for ball in cov.balls:
-            for e in ball.rt_tree_edges:
+        # each tree once, in first-seen order: a repeated ball adds no edge
+        for tree in dict.fromkeys(ball.rt_tree_edges for ball in cov.balls):
+            for e in tree:
                 oe = edge_map[e]
                 if oe not in provenance:
                     provenance[oe] = tag

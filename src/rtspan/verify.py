@@ -150,6 +150,7 @@ def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
 
     Failure parts count as parts for coverage; they carry no radius
     guarantee.  passed reflects coverage only, radius_ok is separate.
+    A ball repeated across trials is measured once.
     """
     r_q = float(cover.R if radius is None else radius)
     srcs = sorted(set(sources))
@@ -169,21 +170,18 @@ def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
             if not covered[v]:
                 uncovered.append((s, int(v)))
 
-    radii = []
-    for ball in cover.balls:
-        touched = {ball.center}
-        for eidx in ball.rt_tree_edges:
+    balls = [(b.center, b.members, b.rt_tree_edges) for b in cover.balls]
+    measured = {}
+    for center, members, tree in dict.fromkeys(balls):
+        touched = {center}
+        for eidx in tree:
             u, v, _ = g.edges[eidx]
             touched.add(u)
             touched.add(v)
-        ids, dist = oracle_one_way_all_pairs(g, restrict=touched, edge_indexes=ball.rt_tree_edges)
-        pos = {v: i for i, v in enumerate(ids)}
-        ci = pos[ball.center]
-        worst = 0.0
-        for member in ball.members:
-            mi = pos[member]
-            worst = max(worst, float(dist[ci, mi] + dist[mi, ci]))
-        radii.append(worst)
+        ids, dist = oracle_one_way_all_pairs(g, restrict=touched, edge_indexes=tree)
+        at = np.searchsorted(ids, [center, *members])  # the center first, at round trip 0
+        measured[center, members, tree] = float(np.max(dist[at[0], at] + dist[at, at[0]]))
+    radii = [measured[b] for b in balls]
 
     radius_bound = 2.0 * (cover.params.c + 1) * cover.r
     max_radius = max(radii) if radii else 0.0

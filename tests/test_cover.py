@@ -124,8 +124,8 @@ class TestRecursiveCover:
         class Stub:
             # the cover reads the queried ids and the hits per id out of t
             t = 1
-            _centers = np.arange(16)
-            _out_hits = _in_hits = (np.arange(16) == 0).astype(np.int64)
+            centers = np.arange(16)
+            out_hits = in_hits = (np.arange(16) == 0).astype(np.int64)
 
         monkeypatch.setattr(cover_mod, "estimate_ball_fractions",
                             lambda *a, **kw: Stub())
@@ -139,8 +139,8 @@ class TestRecursiveCover:
 
         class Stub:
             t = 1
-            _centers = np.arange(16)
-            _out_hits = _in_hits = np.zeros(16, dtype=np.int64)
+            centers = np.arange(16)
+            out_hits = in_hits = np.zeros(16, dtype=np.int64)
 
         def giant(g_, verts, centers, r, s, direction, rng):
             members = frozenset(verts)

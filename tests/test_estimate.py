@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import rtspan.estimate as est_mod
@@ -46,7 +47,7 @@ class TestRandrangeDraws:
         verts = vertex_ids(g, range(3, 48, 2))
         want_rng, got_rng = random.Random(12), random.Random(12)
         est = estimate_ball_fractions(g, verts, 2.0, 0.5, verts[:5], got_rng)
-        assert est.sample == tuple(verts[want_rng.randrange(len(verts))] for _ in range(est.t))
+        assert est.sample.tolist() == [verts[want_rng.randrange(len(verts))] for _ in range(est.t)]
         assert got_rng.getstate() == want_rng.getstate()
 
 
@@ -70,6 +71,13 @@ class FixedSequence:
             assert 0 <= v < self.n
             out |= v << (32 - self.n.bit_length()) << (32 * i)
         return out
+
+
+def assert_same_estimates(a, b):
+    """Field by field: the scalars, then the four arrays."""
+    assert (a.r, a.epsilon, a.t) == (b.r, b.epsilon, b.t)
+    for name in ("centers", "sample", "out_hits", "in_hits"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def recount(g, restrict, r, u, sample):
@@ -105,46 +113,49 @@ class TestEstimate:
         est = estimate_ball_fractions(g, None, 1.0, 0.9, [0, 1, 2], rng)
         # t = ceil(5 * (10/9)^2 * ln 3) = 7, sample cycles 0,1,2,2,0,1,2
         assert est.t == 7
-        assert est.sample == (0, 1, 2, 2, 0, 1, 2)
+        assert est.sample.tolist() == [0, 1, 2, 2, 0, 1, 2]
+        assert est.centers.tolist() == [0, 1, 2]
         # within distance 1: out of 0 -> {0,1}; in of 0 -> {0}
-        assert est.out_counts[0] == 4 and est.in_counts[0] == 2
-        assert est.out_counts[1] == 5 and est.in_counts[1] == 4
-        assert est.out_counts[2] == 3 and est.in_counts[2] == 5
+        assert est.out_hits[0] == 4 and est.in_hits[0] == 2
+        assert est.out_hits[1] == 5 and est.in_hits[1] == 4
+        assert est.out_hits[2] == 3 and est.in_hits[2] == 5
+        assert np.issubdtype(est.out_hits.dtype, np.integer)
         for u in range(3):
-            assert isinstance(est.out_counts[u], int)
-            assert est.f_out(u) * est.t == est.out_counts[u]
+            assert est.f_out(u) * est.t == est.out_hits[u]
 
-    def test_query_side_branch_matches_recount(self):
+    def test_one_vertex_query_matches_recount(self):
         g = random_graph("est-q", 30, 110)
         rng = random.Random(9)
         est = estimate_ball_fractions(g, None, 1.5, 0.5, [7], rng)
         fo, fi = recount(g, None, 1.5, 7, est.sample)
-        assert est.out_counts[7] == fo and est.in_counts[7] == fi
+        assert est.centers.tolist() == [7]
+        assert est.out_hits[0] == fo and est.in_hits[0] == fi
 
-    def test_sample_side_branch_matches_recount(self):
+    def test_all_vertex_query_matches_recount(self):
         g = random_graph("est-s", 40, 150)
         rng = FixedSequence([0, 3, 5], 40)      # 3 distinct draws, 40 queries
         est = estimate_ball_fractions(g, None, 2.0, 0.5, range(40), rng)
-        assert len(set(est.sample)) == 3
+        assert len(set(est.sample.tolist())) == 3
+        assert est.centers.tolist() == list(range(40))
         for u in range(40):
             fo, fi = recount(g, None, 2.0, u, est.sample)
-            assert est.out_counts[u] == fo, u
-            assert est.in_counts[u] == fi, u
+            assert est.out_hits[u] == fo, u
+            assert est.in_hits[u] == fi, u
 
     def test_restrict_hides_outside_vertices(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
         rng = FixedSequence([0, 1], 2)
         est = estimate_ball_fractions(g, [0, 1], 5.0, 0.9, [0], rng)
-        assert set(est.sample) <= {0, 1}
+        assert set(est.sample.tolist()) <= {0, 1}
         # 2 is cut away, so nothing comes back into 0
-        assert est.in_counts[0] == est.sample.count(0)
-        assert est.out_counts[0] == est.t
+        assert est.in_hits[0] == np.count_nonzero(est.sample == 0)
+        assert est.out_hits[0] == est.t
 
     def test_deterministic_under_seed(self):
         g = random_graph("est-d", 25, 90)
         a = estimate_ball_fractions(g, None, 1.25, 0.5, range(25), random.Random(3))
         b = estimate_ball_fractions(g, None, 1.25, 0.5, range(25), random.Random(3))
-        assert a == b
+        assert_same_estimates(a, b)
 
     def test_validation(self):
         g = Graph(4, [(0, 1, 1.0)])
@@ -161,11 +172,42 @@ class TestEstimate:
         with pytest.raises(ValueError, match="not inside"):
             estimate_ball_fractions(g, [0, 1], 1.0, 0.5, [2], rng)
 
+    def test_unqueried_vertex_has_no_fraction(self):
+        g = random_graph("est-q", 30, 110)
+        est = estimate_ball_fractions(g, None, 1.5, 0.5, [3, 7], random.Random(1))
+        for u in (0, 5, 29):
+            with pytest.raises(KeyError):
+                est.f_out(u)
+            with pytest.raises(KeyError):
+                est.f_in(u)
+
+
+class TestSearchBound:
+    # n = 40 and eps = 0.9 draw t = 23 samples, fewer than n, so the bound
+    # |distinct samples| <= t is tighter than searching every vertex
+    @pytest.mark.parametrize("query", ["all", "few"])
+    def test_searches_only_distinct_sample_rows(self, query, monkeypatch):
+        g = random_graph("est-bound", 40, 170)
+        centers = range(40) if query == "all" else [2, 19, 33]
+        searched = {OUT: [], IN: []}
+        real = est_mod.distance_matrix
+
+        def spy(g_, restrict_, sources=None, direction=OUT):
+            searched[direction].extend(sources)
+            return real(g_, restrict_, sources=sources, direction=direction)
+
+        monkeypatch.setattr(est_mod, "distance_matrix", spy)
+        est = estimate_ball_fractions(g, None, 2.0, 0.9, centers, random.Random(4))
+        assert est.t == 23 < g.n
+        distinct = set(est.sample.tolist())
+        for direction in (OUT, IN):
+            assert sorted(searched[direction]) == sorted(distinct)
+            assert len(searched[direction]) <= est.t
+
 
 class TestSharedRows:
-    # (r, epsilon, centers, seed): eps 0.9 draws t = 23 samples, so a query
-    # of every vertex searches from the sample side; a query of a few
-    # vertices, or eps 0.25 with its hundreds of samples, from the query side.
+    # (r, epsilon, centers, seed): eps 0.9 draws t = 23 samples, fewer than
+    # the working set; eps 0.25 draws hundreds, so every vertex is drawn.
     # Seed 8 repeats the radius before it and searches rows the store lacks,
     # so a [d <= r] matrix kept from seed 3 would be stale.
     CASES = [
@@ -200,8 +242,8 @@ class TestSharedRows:
         for (r, eps, q, seed), want in zip(self.CASES, fresh):
             got = estimate_ball_fractions(g, restrict, r, eps, queries[q], random.Random(seed),
                                           _rows=store)
-            assert got == want  # t, sample, out_counts, in_counts and all
-        # every row is searched once, and only rows over the queried sides
+            assert_same_estimates(got, want)
+        # every row is searched once, and only rows of the working set
         assert len(searched) == len(set(searched))
         assert {v for _, v in searched} <= set(verts)
         assert {d for d, _ in searched} == {OUT, IN}
