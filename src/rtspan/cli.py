@@ -202,15 +202,9 @@ def cmd_cover(args) -> int:
     ok = True
     if args.verify:
         rep = check_cover(g, cov, sources)
-        stats["cover_check"] = {
-            "qualifying_pairs": rep.qualifying_pairs,
-            "uncovered_count": rep.uncovered_count,
-            "max_ball_radius": rep.max_ball_radius,
-            "radius_bound": rep.radius_bound,
-            "radius_ok": rep.radius_ok,
-            "failure_count": rep.failure_count,
-            "passed": rep.passed,
-        }
+        # the radius is the document's own; per-ball lists stay out of it
+        stats["cover_check"] = {key: val for key, val in asdict(rep).items()
+                                if key not in ("radius", "uncovered_sample", "ball_radii")}
         ok = rep.passed
     edge_ids = sorted({e for b in cov.balls for e in b.rt_tree_edges})
     text = write_edge_list(Graph(g.n, [g.edges[i] for i in edge_ids]))

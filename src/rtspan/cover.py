@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimate import _RowStore, estimate_ball_fractions
-from .graph import IN, OUT, Graph, round_trip_ball, vertex_ids
+from .graph import IN, OUT, Graph, round_trip_ball
 from .partition import cluster
 
 
@@ -76,17 +76,17 @@ def _ceil_root(s: int, k: int) -> int:
     return a
 
 
-def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams | None = None,
+def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = None,
                     rng: random.Random | None = None, *, _root_rows: _RowStore | None = None) -> Cover:
-    """One randomized carve-or-partition run over G(restrict).
+    """One randomized carve-or-partition run over all of g.
 
     Emits disjoint balls of round-trip radius at most 2(c+1)*r such that,
     with the guaranteed probability, every source stays together with its
-    near vertices in some ball.  sources must be a subset of restrict.
+    near vertices in some ball.  sources must be vertices of g.
 
-    _root_rows is internal: a distance row store over restrict, handed to
-    the estimate and the carves of the whole working set so that runs over
-    one set share their searches and balls.
+    _root_rows is internal: a distance row store over all of g, handed to
+    the estimate and the carves of the whole vertex set so that runs over
+    one graph share their searches and balls.
     """
     if params is None:
         params = CoverParams()
@@ -94,10 +94,10 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
         raise ValueError("rng is required")
     if not 0 < 2 * (params.c + 1) * r < math.inf:
         raise ValueError("r must be positive, and 2(c+1)*r finite")
-    base = frozenset(vertex_ids(g, restrict)) if restrict is not None else frozenset(range(g.n))
+    base = frozenset(range(g.n))
     S0 = frozenset(sources)
     if not S0 <= base:
-        raise ValueError("sources must be a subset of restrict")
+        raise ValueError("sources must be vertices of g")
     c = params.c
 
     balls = []
@@ -117,9 +117,9 @@ def recursive_cover(g: Graph, restrict, r: float, sources, params: CoverParams |
             (u,) = S
             balls.append(round_trip_ball(g, verts, u, r, _memo=memo))
             continue
-        est = estimate_ball_fractions(g, verts, c * r, params.epsilon, verts, rng, _rows=root)
+        est = estimate_ball_fractions(g, verts, c * r, params.epsilon, rng, _rows=root)
         # f >= 3/4 exactly when 4 * hits >= 3 * t, hits and t being integers;
-        # the queried ids are the working set, ascending
+        # est.centers is the working set, ascending
         ids, t = est.centers, est.t
         out_ok = 4 * est.out_hits >= 3 * t
         in_ok = 4 * est.in_hits >= 3 * t
@@ -194,8 +194,7 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     S = frozenset(sources)
     if not S:
         raise ValueError("sources must be non-empty")
-    allv = frozenset(range(g.n))
-    if not S <= allv:
+    if not S <= frozenset(range(g.n)):
         raise ValueError("sources must be vertices of g")
 
     n = g.n
@@ -207,13 +206,13 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     trials = params.trial_mult * params.c * _ceil_root(s, k) * max(1, math.ceil(math.log(n)))
 
     base = rng.getrandbits(64)
-    root_rows = _root_rows if _root_rows is not None else _RowStore(g, vertex_ids(g, allv))
+    root_rows = _root_rows if _root_rows is not None else _RowStore(g, list(range(g.n)))
     balls = []
     failures = []
     deepest = 0
     for i in range(trials):
         sub = random.Random(f"{base}:{i}")
-        one = recursive_cover(g, allv, r, S, params, sub, _root_rows=root_rows)
+        one = recursive_cover(g, r, S, params, sub, _root_rows=root_rows)
         balls.extend(one.balls)
         failures.extend(one.failure_parts)
         if one.max_depth > deepest:

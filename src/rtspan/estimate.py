@@ -1,7 +1,7 @@
 """Sampled estimation of in-/out-ball size fractions.
 
-For each queried vertex u the estimator reports which fraction of the
-working vertex set lies within one-way distance r of u, outward and
+For each vertex u of the working set the estimator reports which
+fraction of that set lies within one-way distance r of u, outward and
 inward, from t = ceil(5 * eps^-2 * ln n) uniform samples drawn with
 replacement, as in Pachocki, Roditty, Sidford, Tov and Vassilevska
 Williams (SODA 2018).  The samples are the draws t calls of
@@ -12,8 +12,8 @@ call per draw.
 Distances always come from the sample side: one batched Dijkstra per
 direction from the distinct samples, so an estimate searches at most
 |distinct samples| <= t rows per direction, the O(eps^-2 log n) bound,
-however many vertices it queries.  The hits of every queried vertex are
-one matrix-vector product of the 0/1 matrix [d <= r] of those rows with
+however large the working set.  The hits of every vertex are one
+matrix-vector product of the 0/1 matrix [d <= r] of those rows with
 the sample multiplicities, and stay exact integers.  The rows live in a
 row store over the working set, which the caller may share between
 estimates over that same set: an estimate then searches only the sample
@@ -44,7 +44,7 @@ def sample_count(n: int, epsilon: float) -> int:
 class FractionEstimates:
     """Ball-fraction estimates for one radius, as plain arrays.
 
-    centers holds the queried vertex ids, ascending and distinct, and
+    centers holds the working-set vertex ids, ascending, and
     out_hits/in_hits, aligned with them, how many of the t samples lie
     within one-way distance r of each, outward and inward; so every
     fraction f_out(u) = out_hits/t is exactly a multiple of 1/t.  sample
@@ -62,7 +62,7 @@ class FractionEstimates:
     def _fraction(self, hits, u) -> float:
         i = np.searchsorted(self.centers, u)
         if i == len(self.centers) or self.centers[i] != u:
-            raise KeyError(f"vertex {u} was not queried")
+            raise KeyError(f"vertex {u} is not in the working set")
         return int(hits[i]) / self.t
 
     def f_out(self, u) -> float:
@@ -91,6 +91,7 @@ class _RowStore:
         self.g = g
         self.verts = verts
         self.ids = np.asarray(verts, dtype=np.int64)
+        self.ids.flags.writeable = False  # every estimate hands it out as centers
         n = len(verts)
         self.rows = {d: np.zeros((0, n)) for d in (OUT, IN)}
         self.pos = {d: np.zeros(0, dtype=np.int64) for d in (OUT, IN)}
@@ -142,13 +143,13 @@ def _randrange_draws(rng: random.Random, n: int, t: int) -> np.ndarray:
 
 
 def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
-                            centers, rng: random.Random, *,
+                            rng: random.Random, *,
                             _rows: _RowStore | None = None) -> FractionEstimates:
-    """Estimate out- and in-ball fractions at radius r for every vertex in
-    centers, within G(restrict).  centers must be a subset of restrict.
+    """Estimate out- and in-ball fractions at radius r for every vertex of
+    G(restrict).
 
     Searches at most |distinct samples| <= t rows per direction, all from
-    the sample side, whether centers is one vertex or all of restrict.
+    the sample side.
 
     _rows is internal: a row store over the same g and restrict, shared
     between estimates so that no row is searched twice.
@@ -163,13 +164,6 @@ def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
         _rows = _RowStore(g, verts)
     elif _rows.g is not g or _rows.verts != verts:
         raise ValueError("row store belongs to another working set")
-    ids = _rows.ids
-    U = np.fromiter(sorted(set(centers)), dtype=np.int64)
-    upos = np.searchsorted(ids, U)
-    # a center above every id clips to the last id, which differs from it
-    outside = U[ids.take(upos, mode="clip") != U]
-    if len(outside):
-        raise ValueError(f"queried vertex {outside[0]} not inside restrict")
     t = sample_count(n, epsilon)
     drawn = _randrange_draws(rng, n, t)
     mult = np.bincount(drawn, minlength=n).astype(float)
@@ -178,7 +172,7 @@ def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
     # row v holds d(v, .) outward and d(., v) inward: d(v, u) <= r counts
     # toward f_in(u), d(u, v) <= r toward f_out(u).  Weighted by sample
     # multiplicity, the hits are sums of at most t integers, exact in float64.
-    in_hits = _rows.hits(cols, OUT, r, mult)[upos]
-    out_hits = _rows.hits(cols, IN, r, mult)[upos]
-    return FractionEstimates(float(r), float(epsilon), t, U, ids[drawn],
+    in_hits = _rows.hits(cols, OUT, r, mult)
+    out_hits = _rows.hits(cols, IN, r, mult)
+    return FractionEstimates(float(r), float(epsilon), t, _rows.ids, _rows.ids[drawn],
                              out_hits.astype(np.int64), in_hits.astype(np.int64))

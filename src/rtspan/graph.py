@@ -302,18 +302,21 @@ def round_trip_ball(g: Graph, restrict, center: int, radius: float, *,
     return BallResult(center, float(radius), *ball)
 
 
-def distance_matrix(g: Graph, restrict=None, sources=None, direction: str = OUT):
+def distance_matrix(g: Graph, restrict, sources, direction: str = OUT):
     """Batched Dijkstra over G(restrict) through scipy; numeric boundary API.
 
     Returns a dense array whose columns follow sorted(restrict) order and
-    whose rows follow `sources` (given as vertex ids; defaults to all of
-    restrict).  np.inf marks unreachable pairs here and must be converted
-    before re-entering marker-based code.  direction IN yields distances
-    TO each source.
+    whose rows follow `sources`, given as vertex ids inside restrict.
+    np.inf marks unreachable pairs here and must be converted before
+    re-entering marker-based code.  direction IN yields distances TO each
+    source.
     """
     verts = vertex_ids(g, restrict)
-    if not verts:
-        return np.zeros((0, 0))
+    pos = {v: i for i, v in enumerate(verts)}
+    try:
+        rows = [pos[s] for s in sources]
+    except KeyError as exc:
+        raise ValueError(f"source {exc.args[0]} not inside restrict") from None
     csr = g.weight_csr()
     if len(verts) != g.n:
         idx = np.asarray(verts, dtype=np.int64)
@@ -324,13 +327,6 @@ def distance_matrix(g: Graph, restrict=None, sources=None, direction: str = OUT)
         sub = sub.T
     elif direction != OUT:
         raise ValueError(f"direction must be OUT or IN, got {direction!r}")
-    if sources is None:
-        return _sp_dijkstra(sub, directed=True)
-    pos = {v: i for i, v in enumerate(verts)}
-    try:
-        rows = [pos[s] for s in sources]
-    except KeyError as exc:
-        raise ValueError(f"source {exc.args[0]} not inside restrict") from None
     if not rows:
         return np.zeros((0, len(verts)))
     return np.atleast_2d(_sp_dijkstra(sub, directed=True, indices=rows))

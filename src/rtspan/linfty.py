@@ -303,16 +303,16 @@ def linfty_merge_tree(g: Graph):
 class ContractionBundle:
     """One weight window of the original graph.
 
-    vertex_map sends original ids to contracted ids (None once removed);
-    edge_map sends contracted edge indexes back to original ones; groups
-    lists, per contracted vertex, the original vertices melted into it.
+    vertex_map sends original ids to contracted ids (None once removed),
+    so the original vertices melted into contracted vertex c are those
+    mapped to c; edge_map sends contracted edge indexes back to original
+    ones.
     """
 
     t: int | None
     graph: Graph
     vertex_map: tuple
     edge_map: tuple
-    groups: tuple
     sources: frozenset
     x_lo: float
     x_hi: float
@@ -362,14 +362,7 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree, *,
     pairs = sorted(survivors.items(), key=lambda kv: kv[1][1])
     edge_map = tuple(eidx for _, (_, eidx) in pairs)
 
-    vmap = [None] * g.n
-    grp = [[] for _ in order]
-    for v in range(g.n):
-        c = cid.get(leader[v])
-        if c is not None:
-            vmap[v] = c
-            grp[c].append(v)
-    vmap = tuple(vmap)
+    vmap = tuple(cid.get(leader[v]) for v in range(g.n))
 
     graphs = {} if _graphs is None else _graphs
     graph = graphs.get((vmap, edge_map))
@@ -382,7 +375,6 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree, *,
         graph,
         vmap,
         edge_map,
-        tuple(frozenset(x) for x in grp),
         frozenset(vmap[s] for s in set(sources) if vmap[s] is not None),
         float(x_lo),
         float(x_hi),

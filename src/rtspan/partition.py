@@ -52,21 +52,21 @@ class Partition:
 
 
 def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
-            rng: random.Random | None = None, radii=None) -> Partition:
+            rng: random.Random | None = None) -> Partition:
     """Partition G(restrict) around `centers` with clock rate ln(s)/r.
 
-    A vertex v is claimed by the center u maximizing r_u - d(u, v)
-    (direction IN uses d(v, u)) when that maximum is positive; ties go to
-    the smallest center id.  Unclaimed vertices form the residual, which
-    never exceeds |restrict| - |centers|.
-
-    radii, a {center: radius} mapping, bypasses sampling for deterministic
-    tests; otherwise rng drives the exponential draws.
+    Each center u draws its radius r_u from rng.expovariate, in ascending
+    center order.  A vertex v is claimed by the center u maximizing
+    r_u - d(u, v) (direction IN uses d(v, u)) when that maximum is
+    positive; ties go to the smallest center id.  Unclaimed vertices form
+    the residual, which never exceeds |restrict| - |centers|.
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError("s must be an integer >= 2")
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
+    if rng is None:
+        raise ValueError("rng is required")
     member = membership(g, restrict)
     U = sorted(set(centers))
     for u in U:
@@ -75,18 +75,8 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
     if not U:
         return Partition((), frozenset(vertex_ids(g, restrict)))
 
-    if radii is None:
-        if rng is None:
-            raise ValueError("rng is required when radii are not injected")
-        rate = math.log(s) / r
-        rad = {u: rng.expovariate(rate) for u in U}
-    else:
-        rad = {}
-        for u in U:
-            ru = float(radii[u])
-            if not 0 <= ru < math.inf:
-                raise ValueError("injected radius must be non-negative and finite")
-            rad[u] = ru
+    rate = math.log(s) / r
+    rad = {u: rng.expovariate(rate) for u in U}
 
     # Each center starts at offset maxr - r_u, so the smallest shifted
     # distance is the largest r_u - d(u, v), and the search's (distance,

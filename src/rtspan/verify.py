@@ -73,6 +73,15 @@ def oracle_linfty_matrix(g: Graph) -> np.ndarray:
     return out
 
 
+def _source_ids(g: Graph, sources):
+    """Sorted distinct sources, each checked to be a vertex of g."""
+    srcs = sorted(set(sources))
+    for s in srcs:
+        if not (0 <= s < g.n):
+            raise ValueError(f"source {s} is not a vertex")
+    return srcs
+
+
 @dataclass(frozen=True)
 class StretchReport:
     bound: float
@@ -91,10 +100,7 @@ def check_stretch(g: Graph, subgraph_edges, sources, bound: float) -> StretchRep
     violation; a finite one fails when its ratio exceeds the bound."""
     if math.isnan(bound):
         raise ValueError("bound must be a number, not NaN")
-    srcs = sorted(set(sources))
-    for s in srcs:
-        if not (0 <= s < g.n):
-            raise ValueError(f"source {s} is not a vertex")
+    srcs = _source_ids(g, sources)
     _, full = oracle_round_trip_all_pairs(g)
     _, sub = oracle_round_trip_all_pairs(g, edge_indexes=subgraph_edges)
     a = full[srcs, :]
@@ -150,10 +156,16 @@ def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
 
     Failure parts count as parts for coverage; they carry no radius
     guarantee.  passed reflects coverage only, radius_ok is separate.
-    A ball repeated across trials is measured once.
+    A ball repeated across trials is measured once.  radius defaults to
+    the cover's target distance R, which a recursive_cover result lacks.
     """
-    r_q = float(cover.R if radius is None else radius)
-    srcs = sorted(set(sources))
+    r_q = cover.R if radius is None else radius
+    if r_q is None:
+        raise ValueError("radius is required for a cover without a target distance R")
+    r_q = float(r_q)
+    if not r_q >= 0.0:
+        raise ValueError("radius must be a non-negative number")
+    srcs = _source_ids(g, sources)
     _, full = oracle_round_trip_all_pairs(g)
     parts = [b.members for b in cover.balls] + list(cover.failure_parts)
     masks = np.zeros((len(parts), g.n), dtype=bool)

@@ -151,8 +151,7 @@ def test_c05_estimation_accuracy():
     exact_in = (d_out <= r).sum(axis=0) / 256.0
     good = 0
     for i in range(100):
-        est = estimate_ball_fractions(g, None, r, eps, range(256),
-                                      random.Random(f"crit5:{i}"))
+        est = estimate_ball_fractions(g, None, r, eps, random.Random(f"crit5:{i}"))
         if all(abs(est.f_out(u) - exact_out[u]) <= eps
                and abs(est.f_in(u) - exact_in[u]) <= eps for u in range(256)):
             good += 1
@@ -211,7 +210,7 @@ def test_c07_per_run_disjointness():
         g = generate_graph(n, m, rng, strongly_connected=i % 2 == 0)
         S = rng.sample(range(n), rng.randint(1, max(1, n // 3)))
         r = (0.25, 0.5, 1.0, 2.0)[i % 4]
-        cov = recursive_cover(g, None, r, S, rng=rng)
+        cov = recursive_cover(g, r, S, rng=rng)
         parts = [b.members for b in cov.balls] + list(cov.failure_parts)
         total = sum(len(p) for p in parts)
         union = set().union(*parts) if parts else set()

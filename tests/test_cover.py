@@ -50,19 +50,19 @@ class TestCeilRoot:
 class TestRecursiveCover:
     def test_empty_sources(self):
         g = random_graph("rc0", 12, 40)
-        cov = recursive_cover(g, None, 1.0, [], rng=random.Random(0))
+        cov = recursive_cover(g, 1.0, [], rng=random.Random(0))
         assert cov.balls == () and cov.failure_parts == ()
 
     def test_single_source_is_one_ball(self):
         g = random_graph("rc1", 15, 50)
-        cov = recursive_cover(g, None, 2.0, [4], rng=random.Random(0))
+        cov = recursive_cover(g, 2.0, [4], rng=random.Random(0))
         assert len(cov.balls) == 1
         assert cov.balls[0] == round_trip_ball(g, None, 4, 2.0)
         assert cov.max_depth == 1
 
     def test_small_cycle_single_carve(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
-        cov = recursive_cover(g, None, 2.0, [0, 1, 2], rng=random.Random(7))
+        cov = recursive_cover(g, 2.0, [0, 1, 2], rng=random.Random(7))
         assert len(cov.balls) == 1
         assert cov.balls[0].members == frozenset({0, 1, 2})
         assert cov.failure_parts == ()
@@ -72,7 +72,7 @@ class TestRecursiveCover:
             g = random_graph(f"rcd:{i}", 40, 130, strongly_connected=i % 2 == 0)
             rng = random.Random(i)
             S = sorted(rng.sample(range(40), 12))
-            cov = recursive_cover(g, None, 1.0, S, rng=rng)
+            cov = recursive_cover(g, 1.0, S, rng=rng)
             claimed = set()
             for part in [b.members for b in cov.balls] + list(cov.failure_parts):
                 assert not (claimed & part)
@@ -84,7 +84,7 @@ class TestRecursiveCover:
         for i in range(6):
             g = random_graph(f"rcr:{i}", 30, 120, strongly_connected=True)
             rng = random.Random(i)
-            cov = recursive_cover(g, None, 0.5, sorted(rng.sample(range(30), 8)),
+            cov = recursive_cover(g, 0.5, sorted(rng.sample(range(30), 8)),
                                   params, rng)
             assert cov.failure_parts == ()
             for b in cov.balls:
@@ -98,25 +98,25 @@ class TestRecursiveCover:
         n = 60
         g = random_graph("rcdep", n, 220, strongly_connected=True)
         rng = random.Random(11)
-        cov = recursive_cover(g, None, 0.25, sorted(rng.sample(range(n), 20)),
+        cov = recursive_cover(g, 0.25, sorted(rng.sample(range(n), 20)),
                               rng=rng)
         assert cov.max_depth <= 1 + math.ceil(math.log(n) / math.log(8 / 7))
 
     def test_validation(self):
         g = Graph(4, [(0, 1, 1.0)])
         with pytest.raises(ValueError, match="rng"):
-            recursive_cover(g, None, 1.0, [0])
+            recursive_cover(g, 1.0, [0])
         with pytest.raises(ValueError, match="r must"):
-            recursive_cover(g, None, 0.0, [0], rng=random.Random(0))
-        with pytest.raises(ValueError, match="subset"):
-            recursive_cover(g, [0, 1], 1.0, [3], rng=random.Random(0))
+            recursive_cover(g, 0.0, [0], rng=random.Random(0))
+        with pytest.raises(ValueError, match="vertices of g"):
+            recursive_cover(g, 1.0, [4], rng=random.Random(0))
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, 1e308])
     def test_non_finite_ball_radius_rejected(self, r):
         # 1e308 is finite, but the carve radius 2(c+1)*r overflows
         g = random_graph("rc-nonfinite", 8, 24)
         with pytest.raises(ValueError, match="r must"):
-            recursive_cover(g, None, r, [0, 3], rng=random.Random(0))
+            recursive_cover(g, r, [0, 3], rng=random.Random(0))
 
     def test_failure_exit_small_core(self, monkeypatch):
         g = random_graph("fx1", 16, 60, strongly_connected=True)
@@ -129,7 +129,7 @@ class TestRecursiveCover:
 
         monkeypatch.setattr(cover_mod, "estimate_ball_fractions",
                             lambda *a, **kw: Stub())
-        cov = recursive_cover(g, None, 1.0, [0, 1, 2], rng=random.Random(0))
+        cov = recursive_cover(g, 1.0, [0, 1, 2], rng=random.Random(0))
         # core = {0} is under a quarter of 16 vertices, so the run bails
         assert cov.balls == ()
         assert cov.failure_parts == (frozenset(range(16)),)
@@ -150,7 +150,7 @@ class TestRecursiveCover:
         monkeypatch.setattr(cover_mod, "estimate_ball_fractions",
                             lambda *a, **kw: Stub())
         monkeypatch.setattr(cover_mod, "cluster", giant)
-        cov = recursive_cover(g, None, 1.0, [0, 1, 2], rng=random.Random(0))
+        cov = recursive_cover(g, 1.0, [0, 1, 2], rng=random.Random(0))
         assert cov.balls == ()
         assert cov.failure_parts == (frozenset(range(16)),)
 
@@ -266,7 +266,7 @@ class TestSwrtCover:
         gc.collect()
         gc.disable()
         try:
-            recursive_cover(ring, None, 40.0, [0, 8, 19], rng=random.Random(1))
+            recursive_cover(ring, 40.0, [0, 8, 19], rng=random.Random(1))
             swrt_cover(grid, 2, 1.0, [1, 7, 13], rng=random.Random(2))
             swrt_cover(ring, 2, 1.0, [0, 8, 19], rng=random.Random(3))
             assert gc.collect() == 0

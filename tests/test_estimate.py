@@ -46,7 +46,7 @@ class TestRandrangeDraws:
         g = random_graph("est-draws", 50, 180)
         verts = vertex_ids(g, range(3, 48, 2))
         want_rng, got_rng = random.Random(12), random.Random(12)
-        est = estimate_ball_fractions(g, verts, 2.0, 0.5, verts[:5], got_rng)
+        est = estimate_ball_fractions(g, verts, 2.0, 0.5, got_rng)
         assert est.sample.tolist() == [verts[want_rng.randrange(len(verts))] for _ in range(est.t)]
         assert got_rng.getstate() == want_rng.getstate()
 
@@ -94,14 +94,13 @@ class TestEstimate:
         n = 6
         edges = [(u, v, 1.0) for u in range(n) for v in range(n) if u != v]
         g = Graph(n, edges)
-        est = estimate_ball_fractions(g, None, 1.0, 0.5, range(n), random.Random(1))
+        est = estimate_ball_fractions(g, None, 1.0, 0.5, random.Random(1))
         for u in range(n):
             assert est.f_out(u) == 1.0 and est.f_in(u) == 1.0
 
     def test_edgeless_graph_near_uniform(self):
         g = Graph(16, [])
-        est = estimate_ball_fractions(g, None, 1.0, 0.125, range(16),
-                                      random.Random(42))
+        est = estimate_ball_fractions(g, None, 1.0, 0.125, random.Random(42))
         assert est.t == sample_count(16, 0.125)
         for u in range(16):
             assert abs(est.f_out(u) - 1 / 16) <= est.epsilon
@@ -110,7 +109,7 @@ class TestEstimate:
     def test_counts_are_exact_sample_hits(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         rng = FixedSequence([0, 1, 2, 2], 3)
-        est = estimate_ball_fractions(g, None, 1.0, 0.9, [0, 1, 2], rng)
+        est = estimate_ball_fractions(g, None, 1.0, 0.9, rng)
         # t = ceil(5 * (10/9)^2 * ln 3) = 7, sample cycles 0,1,2,2,0,1,2
         assert est.t == 7
         assert est.sample.tolist() == [0, 1, 2, 2, 0, 1, 2]
@@ -126,15 +125,15 @@ class TestEstimate:
     def test_one_vertex_query_matches_recount(self):
         g = random_graph("est-q", 30, 110)
         rng = random.Random(9)
-        est = estimate_ball_fractions(g, None, 1.5, 0.5, [7], rng)
+        est = estimate_ball_fractions(g, None, 1.5, 0.5, rng)
         fo, fi = recount(g, None, 1.5, 7, est.sample)
-        assert est.centers.tolist() == [7]
-        assert est.out_hits[0] == fo and est.in_hits[0] == fi
+        assert est.centers[7] == 7
+        assert est.out_hits[7] == fo and est.in_hits[7] == fi
 
     def test_all_vertex_query_matches_recount(self):
         g = random_graph("est-s", 40, 150)
-        rng = FixedSequence([0, 3, 5], 40)      # 3 distinct draws, 40 queries
-        est = estimate_ball_fractions(g, None, 2.0, 0.5, range(40), rng)
+        rng = FixedSequence([0, 3, 5], 40)      # 3 distinct draws, 40 vertices
+        est = estimate_ball_fractions(g, None, 2.0, 0.5, rng)
         assert len(set(est.sample.tolist())) == 3
         assert est.centers.tolist() == list(range(40))
         for u in range(40):
@@ -145,7 +144,7 @@ class TestEstimate:
     def test_restrict_hides_outside_vertices(self):
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
         rng = FixedSequence([0, 1], 2)
-        est = estimate_ball_fractions(g, [0, 1], 5.0, 0.9, [0], rng)
+        est = estimate_ball_fractions(g, [0, 1], 5.0, 0.9, rng)
         assert set(est.sample.tolist()) <= {0, 1}
         # 2 is cut away, so nothing comes back into 0
         assert est.in_hits[0] == np.count_nonzero(est.sample == 0)
@@ -153,28 +152,26 @@ class TestEstimate:
 
     def test_deterministic_under_seed(self):
         g = random_graph("est-d", 25, 90)
-        a = estimate_ball_fractions(g, None, 1.25, 0.5, range(25), random.Random(3))
-        b = estimate_ball_fractions(g, None, 1.25, 0.5, range(25), random.Random(3))
+        a = estimate_ball_fractions(g, None, 1.25, 0.5, random.Random(3))
+        b = estimate_ball_fractions(g, None, 1.25, 0.5, random.Random(3))
         assert_same_estimates(a, b)
 
     def test_validation(self):
         g = Graph(4, [(0, 1, 1.0)])
         rng = random.Random(0)
         with pytest.raises(ValueError, match="r must"):
-            estimate_ball_fractions(g, None, 0.0, 0.5, [0], rng)
+            estimate_ball_fractions(g, None, 0.0, 0.5, rng)
         for r in (math.nan, math.inf):
             with pytest.raises(ValueError, match="r must"):
-                estimate_ball_fractions(g, None, r, 0.5, [0], rng)
+                estimate_ball_fractions(g, None, r, 0.5, rng)
         with pytest.raises(ValueError, match="epsilon"):
-            estimate_ball_fractions(g, None, 1.0, 1.0, [0], rng)
+            estimate_ball_fractions(g, None, 1.0, 1.0, rng)
         with pytest.raises(ValueError, match="restrict"):
-            estimate_ball_fractions(g, [], 1.0, 0.5, [], rng)
-        with pytest.raises(ValueError, match="not inside"):
-            estimate_ball_fractions(g, [0, 1], 1.0, 0.5, [2], rng)
+            estimate_ball_fractions(g, [], 1.0, 0.5, rng)
 
     def test_unqueried_vertex_has_no_fraction(self):
         g = random_graph("est-q", 30, 110)
-        est = estimate_ball_fractions(g, None, 1.5, 0.5, [3, 7], random.Random(1))
+        est = estimate_ball_fractions(g, [3, 7], 1.5, 0.5, random.Random(1))
         for u in (0, 5, 29):
             with pytest.raises(KeyError):
                 est.f_out(u)
@@ -185,10 +182,8 @@ class TestEstimate:
 class TestSearchBound:
     # n = 40 and eps = 0.9 draw t = 23 samples, fewer than n, so the bound
     # |distinct samples| <= t is tighter than searching every vertex
-    @pytest.mark.parametrize("query", ["all", "few"])
-    def test_searches_only_distinct_sample_rows(self, query, monkeypatch):
+    def test_searches_only_distinct_sample_rows(self, monkeypatch):
         g = random_graph("est-bound", 40, 170)
-        centers = range(40) if query == "all" else [2, 19, 33]
         searched = {OUT: [], IN: []}
         real = est_mod.distance_matrix
 
@@ -197,7 +192,7 @@ class TestSearchBound:
             return real(g_, restrict_, sources=sources, direction=direction)
 
         monkeypatch.setattr(est_mod, "distance_matrix", spy)
-        est = estimate_ball_fractions(g, None, 2.0, 0.9, centers, random.Random(4))
+        est = estimate_ball_fractions(g, None, 2.0, 0.9, random.Random(4))
         assert est.t == 23 < g.n
         distinct = set(est.sample.tolist())
         for direction in (OUT, IN):
@@ -206,19 +201,19 @@ class TestSearchBound:
 
 
 class TestSharedRows:
-    # (r, epsilon, centers, seed): eps 0.9 draws t = 23 samples, fewer than
-    # the working set; eps 0.25 draws hundreds, so every vertex is drawn.
+    # (r, epsilon, seed): eps 0.9 draws t = 23 samples, fewer than the
+    # working set; eps 0.25 draws hundreds, so every vertex is drawn.
     # Seed 8 repeats the radius before it and searches rows the store lacks,
     # so a [d <= r] matrix kept from seed 3 would be stale.
     CASES = [
-        (2.0, 0.9, "all", 1),
-        (1.0, 0.9, "all", 2),
-        (2.0, 0.9, "few", 3),
-        (2.0, 0.9, "all", 8),
-        (4.0, 0.5, "few", 4),
-        (1.5, 0.25, "all", 5),
-        (2.5, 0.9, "all", 6),
-        (2.0, 0.25, "few", 7),
+        (2.0, 0.9, 1),
+        (1.0, 0.9, 2),
+        (2.0, 0.9, 3),
+        (2.0, 0.9, 8),
+        (4.0, 0.5, 4),
+        (1.5, 0.25, 5),
+        (2.5, 0.9, 6),
+        (2.0, 0.25, 7),
     ]
 
     @pytest.mark.parametrize("restrict", [None, range(0, 40, 2), range(5, 36)],
@@ -226,9 +221,8 @@ class TestSharedRows:
     def test_shared_store_equals_fresh_estimates(self, restrict, monkeypatch):
         g = random_graph("est-rows", 40, 170)
         verts = vertex_ids(g, restrict)
-        queries = {"all": verts, "few": verts[1::7]}
-        fresh = [estimate_ball_fractions(g, restrict, r, eps, queries[q], random.Random(seed))
-                 for r, eps, q, seed in self.CASES]
+        fresh = [estimate_ball_fractions(g, restrict, r, eps, random.Random(seed))
+                 for r, eps, seed in self.CASES]
 
         searched = []
         real = est_mod.distance_matrix
@@ -239,9 +233,8 @@ class TestSharedRows:
 
         monkeypatch.setattr(est_mod, "distance_matrix", spy)
         store = _RowStore(g, verts)
-        for (r, eps, q, seed), want in zip(self.CASES, fresh):
-            got = estimate_ball_fractions(g, restrict, r, eps, queries[q], random.Random(seed),
-                                          _rows=store)
+        for (r, eps, seed), want in zip(self.CASES, fresh):
+            got = estimate_ball_fractions(g, restrict, r, eps, random.Random(seed), _rows=store)
             assert_same_estimates(got, want)
         # every row is searched once, and only rows of the working set
         assert len(searched) == len(set(searched))
@@ -252,4 +245,4 @@ class TestSharedRows:
         g = random_graph("est-rows", 40, 170)
         store = _RowStore(g, vertex_ids(g, range(10)))
         with pytest.raises(ValueError, match="another working set"):
-            estimate_ball_fractions(g, None, 1.0, 0.5, [0], random.Random(0), _rows=store)
+            estimate_ball_fractions(g, None, 1.0, 0.5, random.Random(0), _rows=store)

@@ -278,7 +278,6 @@ class TestContract:
         assert b.graph.n == 2 and b.graph.m == 2
         assert b.vertex_map == (0, 1)
         assert b.edge_map == (0, 1)
-        assert b.groups == (frozenset({0}), frozenset({1}))
         assert b.sources == {0}
 
     def test_window_collapses_everything(self):
@@ -294,7 +293,6 @@ class TestContract:
         tree, _ = linfty_merge_tree(g)
         b = contract(g, [0, 2], 1.0, 4.0, tree)
         assert b.graph.n == 2 and b.graph.m == 2
-        assert b.groups == (frozenset({0, 1}), frozenset({2}))
         assert b.vertex_map == (0, 0, 1)
         assert b.edge_map == (2, 3)
         assert b.sources == {0, 1}
@@ -305,7 +303,7 @@ class TestContract:
         tree, _ = linfty_merge_tree(g)
         b = contract(g, [], 1.0, 4.0, tree)
         # 0,1 melt; of the two arcs toward 2 only the weight-2 one stays
-        assert b.groups == (frozenset({0, 1}), frozenset({2}))
+        assert b.vertex_map == (0, 0, 1)
         assert b.graph.edges == ((0, 1, 2.0), (1, 0, 2.0))
         assert b.edge_map == (3, 4)
 
@@ -352,16 +350,6 @@ class TestBuildScales:
                     assert b.vertex_map[ou] == cu and b.vertex_map[ov] == cv
                     d = tree.distance(ou, ov)
                     assert max(ow, d) <= x and d > x / g.n
-
-    def test_groups_partition_mapped_vertices(self):
-        g = random_graph("bsg", 24, 80, strongly_connected=True)
-        tree, _ = linfty_merge_tree(g)
-        for b in build_scales(g, [0, 5], tree):
-            mapped = [v for v in range(g.n) if b.vertex_map[v] is not None]
-            union = sorted(v for grp in b.groups for v in grp)
-            assert union == mapped
-            for v in mapped:
-                assert v in b.groups[b.vertex_map[v]]
 
     def test_per_edge_scale_count_bound(self):
         g = random_graph("bsc", 30, 120, strongly_connected=True)

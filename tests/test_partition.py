@@ -32,6 +32,17 @@ def brute_force_partition(g, restrict, centers, radii, direction):
     return assign, residual
 
 
+class FixedRadii:
+    """rng stub whose expovariate hands out preset {center: radius} values
+    in ascending center order, the order cluster draws its radii in."""
+
+    def __init__(self, radii):
+        self.values = iter([radii[u] for u in sorted(radii)])
+
+    def expovariate(self, rate):
+        return next(self.values)
+
+
 class TestCluster:
     def test_no_centers_all_residual(self):
         g = random_graph("nc", 10, 30)
@@ -46,7 +57,7 @@ class TestCluster:
 
     def test_injected_radius_claims_neighbor(self):
         g = Graph(2, [(0, 1, 1.0)])
-        p = cluster(g, None, [0], 5.0, 2, radii={0: 2.0})
+        p = cluster(g, None, [0], 5.0, 2, rng=FixedRadii({0: 2.0}))
         assert len(p.clusters) == 1
         c = p.clusters[0]
         assert c.center == 0 and set(c.members) == {0, 1}
@@ -68,8 +79,6 @@ class TestCluster:
         g = Graph(3, [(0, 1, 1.0)])
         with pytest.raises(ValueError, match="r must"):
             cluster(g, None, [0], r, 2, rng=random.Random(0))
-        with pytest.raises(ValueError, match="injected radius"):
-            cluster(g, None, [0], 1.0, 2, radii={0: r})
 
     def test_radii_are_expovariate_draws_in_center_order(self):
         # Exp(ln(s)/r) clocks come straight from random.expovariate, one per
@@ -77,7 +86,7 @@ class TestCluster:
         g = random_graph("draws", 20, 60)
         centers = [17, 3, 11, 0, 8]
         r, s = 2.5, 5
-        p = cluster(g, None, centers, r, s, rng=random.Random(99), radii=None)
+        p = cluster(g, None, centers, r, s, rng=random.Random(99))
         want = random.Random(99)
         expected = {u: want.expovariate(math.log(s) / r) for u in sorted(centers)}
         assert p.clusters
@@ -98,7 +107,7 @@ class TestCluster:
             assert len(p.residual) <= len(keep) - len(centers)
 
     def test_matches_brute_force_argmax(self):
-        # dyadic weights and injected radii keep every score comparison and
+        # dyadic weights and fixed radii keep every score comparison and
         # every reach exact
         for i in range(30):
             rng = random.Random(f"bf:{i}")
@@ -108,7 +117,7 @@ class TestCluster:
             centers = sorted(rng.sample(pool, rng.randint(1, 7)))
             radii = {u: rng.randint(0, 64) / 16.0 for u in centers}
             for direction in (OUT, IN):
-                p = cluster(g, keep, centers, 2.0, 4, direction=direction, radii=radii)
+                p = cluster(g, keep, centers, 2.0, 4, direction=direction, rng=FixedRadii(radii))
                 got = {c.center: set(c.members) for c in p.clusters}
                 want, want_res = brute_force_partition(g, keep, centers, radii, direction)
                 assert got == want
@@ -120,7 +129,7 @@ class TestCluster:
     def test_equal_scores_go_to_smallest_center(self):
         # both centers offer score 1 to the middle vertex
         g = Graph(3, [(0, 1, 1.0), (2, 1, 1.0)])
-        p = cluster(g, None, [0, 2], 5.0, 2, radii={0: 2.0, 2: 2.0})
+        p = cluster(g, None, [0, 2], 5.0, 2, rng=FixedRadii({0: 2.0, 2: 2.0}))
         owner = {v: c.center for c in p.clusters for v in c.members}
         assert owner[1] == 0
 
@@ -143,15 +152,15 @@ class TestCluster:
         rev = Graph(g.n, [(v, u, w) for u, v, w in g.edges])
         centers = [1, 5, 9]
         radii = {1: 2.5, 5: 1.25, 9: 3.0}
-        a = cluster(g, None, centers, 2.0, 4, direction=IN, radii=radii)
-        b = cluster(rev, None, centers, 2.0, 4, direction=OUT, radii=radii)
+        a = cluster(g, None, centers, 2.0, 4, direction=IN, rng=FixedRadii(radii))
+        b = cluster(rev, None, centers, 2.0, 4, direction=OUT, rng=FixedRadii(radii))
         assert [(c.center, set(c.members)) for c in a.clusters] == \
                [(c.center, set(c.members)) for c in b.clusters]
         assert a.residual == b.residual
 
     def test_same_part_views(self):
         g = Graph(4, [(0, 1, 1.0)])
-        p = cluster(g, None, [0], 5.0, 2, radii={0: 2.0})
+        p = cluster(g, None, [0], 5.0, 2, rng=FixedRadii({0: 2.0}))
         assert p.same_part(0, 1)
         assert p.same_part(2, 3)      # both residual
         assert not p.same_part(0, 2)

@@ -165,6 +165,28 @@ class TestWeightedSpanner:
             swrt_spanner_weighted(g, 2, [0], rng=random.Random(0))
 
 
+# n = 1, and self-loops with parallel edges, all weights >= 1
+DEGENERATE = {
+    "one-vertex": Graph(1, []),
+    "one-vertex-self-loop": Graph(1, [(0, 0, 1.0)]),
+    "loops-and-parallels": Graph(3, [(0, 0, 2.0), (0, 1, 1.0), (0, 1, 3.0), (1, 0, 1.5),
+                                     (1, 1, 1.0), (1, 2, 2.0), (2, 1, 1.0), (2, 1, 1.0),
+                                     (2, 2, 5.0)]),
+}
+
+
+@pytest.mark.parametrize("build", [swrt_spanner, swrt_spanner_weighted],
+                         ids=["scales", "weighted"])
+@pytest.mark.parametrize("name", list(DEGENERATE))
+def test_degenerate_inputs(name, build):
+    g = DEGENERATE[name]
+    src = list(range(g.n))
+    res = build(g, 2, src, rng=random.Random(3))
+    assert check_stretch(g, res.edges, src, stretch_bound(2, g.n)).passed
+    loops = {i for i, (u, v, _) in enumerate(g.edges) if u == v}
+    assert not loops & set(res.edges)
+
+
 # Spanner edges recorded before the distance rows of the cover's first
 # estimate were shared across trials; any change in RNG use or output
 # shows up here.

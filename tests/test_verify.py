@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from rtspan.cover import Cover, CoverParams
+from rtspan.cover import Cover, CoverParams, recursive_cover
 from rtspan.graph import OUT, Graph, round_trip_ball
 from rtspan.verify import (
     ProbabilityReport,
@@ -155,6 +155,29 @@ class TestCheckCover:
         rep = check_cover(g, cov, [0], radius=1.0)
         # only the self pair is within round-trip distance 1
         assert rep.qualifying_pairs == 1 and not rep.passed
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0])
+    def test_bad_radius_rejected(self, radius):
+        # no distance is <= nan or < 0, so either radius would pass any cover
+        g = self.two_cycle()
+        cov = Cover((), (), r=1.0, params=CoverParams(), R=8.0)
+        with pytest.raises(ValueError, match="radius"):
+            check_cover(g, cov, [0], radius=radius)
+
+    def test_cover_without_R_needs_radius(self):
+        # a recursive_cover result has no target distance R to default to
+        g = self.two_cycle()
+        cov = recursive_cover(g, 8.0, [0], rng=random.Random(0))
+        assert cov.R is None
+        with pytest.raises(ValueError, match="radius"):
+            check_cover(g, cov, [0])
+        assert check_cover(g, cov, [0], radius=8.0).passed
+
+    def test_source_validation(self):
+        g = self.two_cycle()
+        cov = Cover((), (), r=1.0, params=CoverParams(), R=8.0)
+        with pytest.raises(ValueError, match="source 9 is not a vertex"):
+            check_cover(g, cov, [9])
 
 
 class TestProbability:
