@@ -28,7 +28,7 @@ from .partition import cluster
 from .spanner import swrt_spanner, swrt_spanner_weighted
 from .verify import check_cover, check_stretch, stretch_bound
 
-SCHEMA = "rtspan.stats.v2"
+SCHEMA = "rtspan.stats.v3"
 
 
 def generate_graph(n, m, rng, w_min=1.0, w_max=2.0, strongly_connected=False,

@@ -5,9 +5,13 @@ many covers", run over different windows.  The scale construction
 contracts the graph to one weight window per scale, covers each window,
 and maps tree edges back; the bottleneck certificate set rides along so
 cheap cycles survive contraction.  The weighted construction skips
-contraction and simply covers every distance scale of the full graph; it
+contraction and runs over the distance scales of the full graph; it
 rejects weights below 1, so callers with smaller weights rescale first
 (the command line tool does).
+
+A window is covered once: when a cover returns only balls that hold the
+whole window, and no failure part, such a ball is valid for every larger
+scale of the same window, so later scales of it are skipped.
 """
 
 from __future__ import annotations
@@ -49,14 +53,23 @@ def _check_inputs(g: Graph, k, sources, rng):
 
 
 def _assemble(stats: dict, windows, k: int, params, rng, provenance: dict) -> SpannerResult:
-    """Cover every window and union its ball tree edges into provenance.
+    """Cover the windows and union their ball tree edges into provenance.
 
-    windows yields (tag, row, graph, edge_map, sources, R): the window's
-    stats row, its graph, the map from its edge indexes to the input's,
-    its sources and its target distance.  New edges land under tag; a
-    window without sources is recorded but not covered.  Each window draws
-    from its own stream, seeded by one draw from rng and its tag.  stats,
-    the header of the result's counters, gains the rows and the totals.
+    windows yields (tag, row, graph, edge_map, sources, R), R ascending
+    over the windows of one graph: the window's stats row, its graph, the
+    map from its edge indexes to the input's, its sources and its target
+    distance.  New edges land under tag.  Each window draws from its own
+    stream, seeded by one draw from rng and its tag.  stats, the header of
+    the result's counters, gains the rows and the totals.
+
+    A window is skipped, its row recorded with zero counters, when it has
+    no sources, or when an earlier cover of the same Graph object spanned
+    it: that cover had no failure part and every ball held all graph.n
+    vertices, so each trial ended in one whole-window ball of radius at
+    most 2(c+1)*r, within the radius bound of every larger R as well.
+    Equal windows are one Graph with one vertex map, so they have the same
+    sources.  Each row's spanned_by names the spanning cover's tag, or is
+    None.
 
     A cover's root store (distance rows and balls over the whole window)
     holds no radius, so when the next covered window is the same Graph
@@ -67,15 +80,20 @@ def _assemble(stats: dict, windows, k: int, params, rng, provenance: dict) -> Sp
     base = rng.getrandbits(64)
     rows = []
     store = None
+    spanned = {}  # window Graph -> tag of the cover that spanned it
     for tag, row, graph, edge_map, sources, R in windows:
         rows.append(row)
-        if not sources:
-            row.update(trials=0, balls=0, failures=0, max_depth=0, new_edges=0)
+        spanned_by = spanned.get(graph)
+        if spanned_by or not sources:
+            row.update(skipped=True, spanned_by=spanned_by, trials=0, balls=0,
+                       failures=0, max_depth=0, new_edges=0)
             continue
         if store is None or store.g is not graph:
             store = _RowStore(graph, list(range(graph.n)))
         cov = swrt_cover(graph, k, R, sources, params=params,
                          rng=random.Random(f"{base}:{tag}"), _root_rows=store)
+        if not cov.failure_parts and all(len(b.members) == graph.n for b in cov.balls):
+            spanned[graph] = tag
         new_edges = 0
         # each tree once, in first-seen order: a repeated ball adds no edge
         for tree in dict.fromkeys(ball.rt_tree_edges for ball in cov.balls):
@@ -84,9 +102,9 @@ def _assemble(stats: dict, windows, k: int, params, rng, provenance: dict) -> Sp
                 if oe not in provenance:
                     provenance[oe] = tag
                     new_edges += 1
-        row.update(trials=cov.trials, balls=len(cov.balls),
-                   failures=len(cov.failure_parts), max_depth=cov.max_depth,
-                   new_edges=new_edges)
+        row.update(skipped=False, spanned_by=None, trials=cov.trials,
+                   balls=len(cov.balls), failures=len(cov.failure_parts),
+                   max_depth=cov.max_depth, new_edges=new_edges)
     edges = tuple(sorted(provenance))
     stats.update(scales=rows, failures=sum(r["failures"] for r in rows),
                  total_edges=len(edges))
@@ -100,14 +118,14 @@ def swrt_spanner(g: Graph, k: int, sources, params: CoverParams | None = None,
     The bottleneck certificate edges come first under tag "bottleneck";
     each scale t then covers its contracted window at radius 2^t and its
     new tree edges land under tag "scale:<t>".  Scales whose sources all
-    vanished in contraction are recorded but not covered.
+    vanished in contraction, and later scales of a window that an earlier
+    scale's cover spanned, are recorded but not covered.
     """
     src = _check_inputs(g, k, sources, rng)
     tree, h1 = linfty_merge_tree(g)
     windows = (
         (f"scale:{b.t}",
-         {"t": b.t, "n": b.graph.n, "m": b.graph.m, "sources": len(b.sources),
-          "skipped": not b.sources},
+         {"t": b.t, "n": b.graph.n, "m": b.graph.m, "sources": len(b.sources)},
          b.graph, b.edge_map, sorted(b.sources), 2.0 ** b.t)
         for b in build_scales(g, src, tree)
     )
@@ -118,8 +136,10 @@ def swrt_spanner(g: Graph, k: int, sources, params: CoverParams | None = None,
 
 def swrt_spanner_weighted(g: Graph, k: int, sources, params: CoverParams | None = None,
                           rng: random.Random | None = None) -> SpannerResult:
-    """Build a source-wise round-trip spanner by covering every distance
-    scale of the full graph, radius 2^i for i up to log2(2 n w_max).
+    """Build a source-wise round-trip spanner over the distance scales of
+    the full graph, radius 2^i for i up to log2(2 n w_max).  Scales after
+    the first whole-graph cover (one ball holding every vertex in every
+    trial) are recorded but not covered.
 
     Every weight must be at least 1: the first scale has radius 2, so
     shorter round trips would stay uncovered.  Rescale smaller weights

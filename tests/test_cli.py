@@ -46,7 +46,7 @@ class TestGen:
                            "--seed", "4", "--format", "json-stats")
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "rtspan.stats.v2"
+        assert doc["schema"] == "rtspan.stats.v3"
         assert doc["seed"] == 4
         g = parse_edge_list(doc["edge_list"])
         assert (g.n, g.m) == (6, 10)
@@ -85,7 +85,7 @@ class TestSpanner:
             assert e in pool
             pool.remove(e)
         stats = json.loads((tmp_path / "h.txt.stats.json").read_text())
-        assert stats["schema"] == "rtspan.stats.v2"
+        assert stats["schema"] == "rtspan.stats.v3"
         assert stats["stretch"]["passed"] is True
         assert stats["total_edges"] == h.m
         assert stats["sources_resolved"] == sorted(stats["sources_resolved"])

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import rtspan.estimate as est_mod
+import rtspan.spanner as spanner_mod
 from conftest import random_graph, ring_with_chords
 from rtspan.cover import CoverParams
 from rtspan.graph import OUT, Graph
@@ -52,17 +53,21 @@ class TestScaleSpanner:
 
     def test_stats_counters_consistent(self):
         g = random_graph("sp2", 25, 100, strongly_connected=True)
-        res = swrt_spanner(g, 3, [2, 11], rng=random.Random(4))
-        st = res.stats
-        assert st["mode"] == "scales"
-        assert (st["n"], st["m"], st["k"], st["sources"]) == (25, 100, 3, 2)
-        assert st["total_edges"] == len(res.edges)
-        assert st["failures"] == sum(r["failures"] for r in st["scales"])
-        new = sum(r["new_edges"] for r in st["scales"])
-        assert st["bottleneck_edges"] + new == st["total_edges"]
-        for r in st["scales"]:
-            if r["skipped"]:
-                assert r["trials"] == 0 and r["new_edges"] == 0
+        for mode, build in (("scales", swrt_spanner), ("weighted", swrt_spanner_weighted)):
+            res = build(g, 3, [2, 11], rng=random.Random(4))
+            st = res.stats
+            assert st["mode"] == mode
+            assert (st["n"], st["m"], st["k"], st["sources"]) == (25, 100, 3, 2)
+            assert st["total_edges"] == len(res.edges)
+            assert st["failures"] == sum(r["failures"] for r in st["scales"])
+            new = sum(r["new_edges"] for r in st["scales"])
+            assert st.get("bottleneck_edges", 0) + new == st["total_edges"]
+            for r in st["scales"]:
+                assert r["skipped"] is (r["trials"] == 0)
+                if r["skipped"]:
+                    assert r["balls"] == r["failures"] == r["max_depth"] == r["new_edges"] == 0
+                else:
+                    assert r["spanned_by"] is None
 
     def test_deterministic_under_seed(self):
         g = random_graph("sp3", 20, 80, strongly_connected=True)
@@ -98,7 +103,8 @@ class TestScaleSpanner:
 class TestSharedWindows:
     def test_equal_windows_search_their_rows_once(self, monkeypatch):
         # grid weights: scales 1-5 are one window, so their covers hand one
-        # root store on; every weighted window is the input graph itself
+        # root store on, and once a cover spans the window the rest of its
+        # run is skipped; every weighted window is the input graph itself
         g = random_graph("bs-share", 40, 160, strongly_connected=True)
         src = [0, 5, 11, 17]
         tree, _ = linfty_merge_tree(g)
@@ -113,13 +119,92 @@ class TestSharedWindows:
                 root_calls.append(direction)
             return real(g_, restrict, sources=sources, direction=direction)
 
+        cover_calls = []
+        real_cover = spanner_mod.swrt_cover
+
+        def cover_spy(g_, *args, **kwargs):
+            cov = real_cover(g_, *args, **kwargs)
+            # True when the cover spans its window: whole-window balls only
+            cover_calls.append(not cov.failure_parts
+                               and all(len(b.members) == g_.n for b in cov.balls))
+            return cov
+
         monkeypatch.setattr(est_mod, "distance_matrix", spy)
-        swrt_spanner(g, 2, src, rng=random.Random(5))
+        monkeypatch.setattr(spanner_mod, "swrt_cover", cover_spy)
+        res = swrt_spanner(g, 2, src, rng=random.Random(5))
         assert 0 < len(root_calls) <= 2 * runs
+        # every cover here spans its window, so each run of equal windows
+        # is covered once and the rest of the run is skipped
+        assert all(cover_calls) and len(cover_calls) == runs
+        assert sum(r["spanned_by"] is not None for r in res.stats["scales"]) == len(keys) - runs
         root_calls.clear()
+        cover_calls.clear()
         res = swrt_spanner_weighted(g, 2, src, rng=random.Random(5))
         assert len(res.stats["scales"]) > 1
         assert 0 < len(root_calls) <= 2
+        assert cover_calls == [True]
+
+
+SKIP_CASES = [
+    ("er-grid", lambda: random_graph("skip-er", 40, 160, strongly_connected=True),
+     [0, 13, 27]),
+    ("er-grid-sparse", lambda: random_graph("skip-er3", 32, 64, strongly_connected=True),
+     [1, 2, 20, 30]),
+    ("ring-chords", lambda: ring_with_chords("skip-ring", 36, 5), [0, 9, 18, 27]),
+    ("ring-chords-2", lambda: ring_with_chords("skip-ring2", 48, 8), [3, 30]),
+]
+# Spanned-by rows over seeds 0-2: the ring's scale windows are all
+# distinct, so only its weighted build skips
+FIRES = {
+    ("er-grid", "swrt_spanner"): 12, ("er-grid", "swrt_spanner_weighted"): 21,
+    ("er-grid-sparse", "swrt_spanner"): 12, ("er-grid-sparse", "swrt_spanner_weighted"): 18,
+    ("ring-chords", "swrt_spanner"): 0, ("ring-chords", "swrt_spanner_weighted"): 36,
+    ("ring-chords-2", "swrt_spanner"): 0, ("ring-chords-2", "swrt_spanner_weighted"): 39,
+}
+
+
+class TestSpannedSkip:
+    @pytest.mark.parametrize("build", [swrt_spanner, swrt_spanner_weighted],
+                             ids=["scales", "weighted"])
+    @pytest.mark.parametrize("case", SKIP_CASES, ids=[c[0] for c in SKIP_CASES])
+    def test_skip_keeps_stretch(self, case, build):
+        name, make, src = case
+        g = make()
+        if build is swrt_spanner:
+            tree, _ = linfty_merge_tree(g)
+            windows = {b.t: (b.vertex_map, b.edge_map) for b in build_scales(g, src, tree)}
+            window, tag = (lambda row: windows[row["t"]]), "scale:{t}"
+        else:
+            window, tag = (lambda row: None), "wscale:{i}"
+        fired = 0
+        for seed in range(3):
+            res = build(g, 2, src, rng=random.Random(seed))
+            assert check_stretch(g, res.edges, src, stretch_bound(2, g.n)).passed
+            rows = res.stats["scales"]
+            index = {tag.format(**r): j for j, r in enumerate(rows)}
+            for j, r in enumerate(rows):
+                if r["spanned_by"] is None:
+                    continue
+                fired += 1
+                assert r["skipped"] and r["trials"] == r["new_edges"] == 0
+                cov = rows[index[r["spanned_by"]]]
+                assert index[r["spanned_by"]] < j and not cov["skipped"]
+                assert window(cov) == window(r)
+                assert cov["failures"] == 0 and cov["balls"] == cov["trials"]
+        assert fired == FIRES[name, build.__name__]
+
+    def test_partial_cover_does_not_span(self):
+        # wscale:2 of the golden weighted ring has whole-graph balls beside
+        # partial ones and failure parts; wscale:3 must still run and add
+        # the two edges that scale alone finds
+        g = ring_with_chords("golden-ring", 40, 6)
+        res = swrt_spanner_weighted(g, 2, [0, 10, 21, 33], rng=random.Random(34))
+        rows = res.stats["scales"]
+        assert rows[1]["failures"] > 0 and rows[1]["balls"] != rows[1]["trials"]
+        assert not rows[2]["skipped"] and rows[2]["spanned_by"] is None
+        assert rows[2]["new_edges"] == 2
+        assert [e for e, tag in res.provenance.items() if tag == "wscale:3"] == [73, 75]
+        assert all(r["spanned_by"] == "wscale:3" for r in rows[3:])
 
 
 class TestWeightedSpanner:
@@ -242,15 +327,25 @@ def _by_tag(provenance):
     return {tag: tuple(es) for tag, es in out.items()}
 
 
-def _scale_row(t, new_edges):
-    return {"t": t, "n": 30, "m": 120, "sources": 4, "skipped": False,
-            "trials": 32, "balls": 32, "failures": 0, "max_depth": 2,
-            "new_edges": new_edges}
+def _skipped(spanned_by):
+    return {"skipped": True, "spanned_by": spanned_by, "trials": 0, "balls": 0,
+            "failures": 0, "max_depth": 0, "new_edges": 0}
 
 
-def _wscale_row(i, balls=32, failures=0, max_depth=2, new_edges=0):
-    return {"i": i, "radius": 2.0 ** i, "trials": 32, "balls": balls,
-            "failures": failures, "max_depth": max_depth, "new_edges": new_edges}
+def _scale_row(t, new_edges=0, spanned_by=None):
+    head = {"t": t, "n": 30, "m": 120, "sources": 4}
+    if spanned_by:
+        return head | _skipped(spanned_by)
+    return head | {"skipped": False, "spanned_by": None, "trials": 32, "balls": 32,
+                   "failures": 0, "max_depth": 2, "new_edges": new_edges}
+
+
+def _wscale_row(i, balls=32, failures=0, max_depth=2, new_edges=0, spanned_by=None):
+    head = {"i": i, "radius": 2.0 ** i}
+    if spanned_by:
+        return head | _skipped(spanned_by)
+    return head | {"skipped": False, "spanned_by": None, "trials": 32, "balls": balls,
+                   "failures": failures, "max_depth": max_depth, "new_edges": new_edges}
 
 
 class TestGoldenEdges:
@@ -267,7 +362,8 @@ class TestGoldenEdges:
         assert res.stats == {
             "mode": "scales", "n": 30, "m": 120, "k": 2, "sources": 4,
             "bottleneck_edges": 50,
-            "scales": [_scale_row(t, 28 if t == 1 else 0) for t in range(1, 6)],
+            "scales": [_scale_row(1, 28)]
+                      + [_scale_row(t, spanned_by="scale:1") for t in range(2, 6)],
             "failures": 0, "total_edges": 78,
         }
 
@@ -283,8 +379,8 @@ class TestGoldenEdges:
         assert _by_tag(res.provenance) == GOLDEN_WEIGHTED_GRID
         assert res.stats == {
             "mode": "weighted", "n": 30, "m": 120, "k": 2, "sources": 4,
-            "scales": [_wscale_row(i, new_edges=51 if i == 1 else 0)
-                       for i in range(1, 8)],
+            "scales": [_wscale_row(1, new_edges=51)]
+                      + [_wscale_row(i, spanned_by="wscale:1") for i in range(2, 8)],
             "failures": 0, "total_edges": 51,
         }
 
@@ -299,6 +395,6 @@ class TestGoldenEdges:
             "scales": [_wscale_row(1, balls=127, max_depth=3, new_edges=27),
                        _wscale_row(2, balls=22, failures=16, new_edges=46),
                        _wscale_row(3, new_edges=2)]
-                      + [_wscale_row(i) for i in range(4, 17)],
+                      + [_wscale_row(i, spanned_by="wscale:3") for i in range(4, 17)],
             "failures": 16, "total_edges": 75,
         }
