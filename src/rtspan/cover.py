@@ -1,9 +1,10 @@
 """Source-wise round-trip covers by recursive carve-or-partition.
 
-One recursion works on a shrinking vertex set: when a quarter of it sits
-in everyone's estimated in/out neighborhood, a single ball around the
-smallest such vertex is carved off; otherwise an exponential-clock
-partition splits the set and the recursion descends into each part.
+One recursion works on a shrinking vertex set: when some vertex's
+estimated out-ball and in-ball of radius c*r each hold 3/4 of the set, a
+single ball around the smallest such vertex is carved off; otherwise an
+exponential-clock partition splits the set and the recursion descends
+into each part.
 Repeating the recursion with independent randomness and unioning the
 balls amplifies the per-run success probability into a cover.
 """
@@ -43,12 +44,11 @@ class CoverParams:
 class Cover:
     """Balls collected over one or more recursion runs.
 
-    failure_parts records whole working sets returned by a bail-out exit,
-    with no radius guarantee.  The exit fires when the estimated core is
-    non-empty but smaller than a quarter of the working set, or when a
-    partition leaves one part above 7/8 of it.  Within a single run, ball
-    member sets and failure parts are pairwise disjoint; across trials
-    they may overlap.
+    failure_parts records whole working sets returned by the one bail-out
+    exit, with no radius guarantee: a partition that leaves one part above
+    7/8 of its working set.  A failure part covers nothing.  Within a
+    single run, ball member sets and failure parts are pairwise disjoint;
+    across trials they may overlap.
     """
 
     balls: tuple
@@ -124,20 +124,14 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
         out_ok = 4 * est.out_hits >= 3 * t
         in_ok = 4 * est.in_hits >= 3 * t
         core = out_ok & in_ok
-        n_core = int(np.count_nonzero(core))
-        nv = len(verts)
-        if n_core:
-            if n_core < nv / 4:
-                # estimates disagree with themselves; bail out with one
-                # unguaranteed part rather than mis-carve
-                failures.append(frozenset(verts))
-                continue
+        if core.any():
             u = int(ids[np.argmax(core)])  # the smallest core vertex
             ru = rng.uniform(2 * c * r, 2 * (c + 1) * r)
             b = round_trip_ball(g, verts, u, ru, _memo=memo)
             balls.append(b)
             stack.append((verts - b.members, S - b.members, depth + 1))
             continue
+        nv = len(verts)
         if np.count_nonzero(out_ok) <= nv / 2:
             part = cluster(g, verts, ids[~out_ok].tolist(), r, len(S), OUT, rng)
         else:

@@ -25,7 +25,8 @@ class MergeTree:
 
     Nodes 0..n-1 are graph vertices; higher ids are internal nodes whose
     label is the threshold at which their children became one strongly
-    connected super-node.  Labels never decrease from leaf to root.
+    connected super-node.  Every node's id is above its children's, and
+    labels never decrease from leaf to root.
     Leaves in different trees of the forest share no cycle at all.
     """
 
@@ -102,18 +103,19 @@ class MergeTree:
 
     def partition_at(self, x):
         """Per-vertex leader: the highest node over it with label <= x.
-        Vertices sharing a leader are mutually reachable within weight x."""
-        leader = list(range(self.n))
-        for root in self.roots():
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if self.label[node] <= x:
-                    for leaf in self.leaves_under(node):
-                        leader[leaf] = node
-                else:
-                    stack.extend(self.children[node])
-        return leader
+        Vertices sharing a leader are mutually reachable within weight x.
+
+        One pass from the top id down: a node's parent has a higher id, so
+        its leader is known first.  The node shares it when the parent's
+        label is <= x, and otherwise leads itself, since labels only grow
+        toward the root."""
+        label, parent = self.label, self.parent
+        lead = list(range(self.size))
+        for node in range(self.size - 1, -1, -1):
+            p = parent[node]
+            if p != -1 and label[p] <= x:
+                lead[node] = lead[p]
+        return lead[:self.n]
 
     def leaves_under(self, node):
         out = []

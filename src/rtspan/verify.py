@@ -151,11 +151,12 @@ class CoverReport:
 
 def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
     """Check that every (source, vertex) pair within round-trip distance
-    `radius` shares a part, and measure each ball's realized round-trip
+    `radius` shares a ball, and measure each ball's realized round-trip
     radius inside its own tree edges.
 
-    Failure parts count as parts for coverage; they carry no radius
-    guarantee.  passed reflects coverage only, radius_ok is separate.
+    Failure parts carry no radius guarantee and cover nothing; they are
+    only counted, in failure_count.  passed reflects coverage only,
+    radius_ok is separate.
     A ball repeated across trials is measured once.  radius defaults to
     the cover's target distance R, which a recursive_cover result lacks.
     """
@@ -167,10 +168,9 @@ def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
         raise ValueError("radius must be a non-negative number")
     srcs = _source_ids(g, sources)
     _, full = oracle_round_trip_all_pairs(g)
-    parts = [b.members for b in cover.balls] + list(cover.failure_parts)
-    masks = np.zeros((len(parts), g.n), dtype=bool)
-    for i, p in enumerate(parts):
-        masks[i, list(p)] = True
+    masks = np.zeros((len(cover.balls), g.n), dtype=bool)
+    for i, b in enumerate(cover.balls):
+        masks[i, list(b.members)] = True
     qualifying = 0
     uncovered = []
     for s in srcs:

@@ -295,7 +295,7 @@ class TestGoldenOutput:
         assert out != default
 
     def test_cover_json_stats(self, gen_file, capsys):
-        # radius 1 makes the partition branch and failure exits both run
+        # radius 1 makes the partition branch and small-core carves both run
         code, out, _ = run(capsys, "cover", "--input", str(gen_file),
                            "--sources", "3", "--radius", "1", "--seed", "5",
                            "--verify", "--format", "json-stats")

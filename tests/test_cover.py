@@ -13,6 +13,7 @@ from conftest import edge_subgraph, random_graph, ring_with_chords
 from rtspan.cover import Cover, CoverParams, _ceil_root, recursive_cover, swrt_cover
 from rtspan.graph import IN, OUT, Graph, round_trip_ball, sssp
 from rtspan.partition import Cluster, Partition
+from rtspan.verify import check_cover
 
 
 class TestParams:
@@ -118,7 +119,7 @@ class TestRecursiveCover:
         with pytest.raises(ValueError, match="r must"):
             recursive_cover(g, r, [0, 3], rng=random.Random(0))
 
-    def test_failure_exit_small_core(self, monkeypatch):
+    def test_small_core_is_carved(self, monkeypatch):
         g = random_graph("fx1", 16, 60, strongly_connected=True)
 
         class Stub:
@@ -130,9 +131,12 @@ class TestRecursiveCover:
         monkeypatch.setattr(cover_mod, "estimate_ball_fractions",
                             lambda *a, **kw: Stub())
         cov = recursive_cover(g, 1.0, [0, 1, 2], rng=random.Random(0))
-        # core = {0} is under a quarter of 16 vertices, so the run bails
-        assert cov.balls == ()
-        assert cov.failure_parts == (frozenset(range(16)),)
+        # core = {0} is a sixteenth of the set, yet it is carved like any
+        # non-empty core; a carve radius in [2cr, 2(c+1)r] = [8, 10] holds
+        # this whole graph, so the run ends after the one ball
+        assert [b.center for b in cov.balls] == [0]
+        assert cov.balls[0].members == frozenset(range(16))
+        assert cov.failure_parts == ()
 
     def test_failure_exit_giant_part(self, monkeypatch):
         g = random_graph("fx2", 16, 60, strongly_connected=True)
@@ -188,6 +192,18 @@ class TestSwrtCover:
         assert cov.r == 3.0
         assert cov.trials == CoverParams().c
         assert all(b.members == frozenset({0}) for b in cov.balls)
+
+    def test_small_root_core_ring_puts_close_pairs_in_balls(self):
+        # every trial's root core holds 2 of the 32 vertices; carving it,
+        # rather than giving up the whole set as a failure part, is what
+        # puts the 12 close pairs (4 of them between ring neighbours) in balls
+        g = ring_with_chords("small-core-10", 32, 4)
+        src = list(range(0, 32, 4))
+        cov = swrt_cover(g, 2, 4.0, src, rng=random.Random(0))
+        rep = check_cover(g, cov, src)
+        assert cov.failure_parts == () and rep.failure_count == 0
+        assert rep.qualifying_pairs == 12
+        assert rep.passed and rep.radius_ok
 
     def test_vertex_ball_counts_bounded_by_trials(self):
         g = random_graph("sw4", 15, 55, strongly_connected=True)

@@ -134,6 +134,11 @@ class TestMergeTree:
             p = tree.parent[x]
             if p != -1:
                 assert tree.label[x] <= tree.label[p]
+        # ids follow the merge order: a parent comes after its children (the
+        # order partition_at's one reverse pass relies on), and labels never
+        # decrease with id
+        assert list(tree.label) == sorted(tree.label) and all(
+            p == -1 or p > x for x, p in enumerate(tree.parent))
         for x in range(tree.n, tree.size):
             kids = tree.children[x]
             assert len(kids) >= 2

@@ -142,11 +142,15 @@ class TestCheckCover:
         assert len(rep.uncovered_sample) == 4
         assert rep.max_ball_radius == 0.0
 
-    def test_failure_part_counts_for_coverage_only(self):
+    def test_failure_part_does_not_count_for_coverage(self):
+        # a failure part has no radius guarantee and adds no spanner edge,
+        # so a pair that shares only a failure part is uncovered
         g = self.two_cycle()
         cov = Cover((), (frozenset({0, 1}),), r=1.0, params=CoverParams(), R=8.0)
         rep = check_cover(g, cov, [0])
-        assert rep.passed and rep.failure_count == 1
+        assert not rep.passed and rep.failure_count == 1
+        assert rep.uncovered_count == 2
+        assert rep.uncovered_sample == ((0, 0), (0, 1))
         assert rep.ball_radii == ()
 
     def test_radius_query_overrides_cover_R(self):
