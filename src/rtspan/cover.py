@@ -164,15 +164,12 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     change without disturbing earlier trials.
 
     Every run starts from the full vertex set, so the runs share one
-    root store over it: each (direction, source) row of the first
-    estimate is searched once per cover instead of once per trial, and
-    each carve from the full set reuses the two searches from its center
-    and, for an equal member count, the ball itself.  Each estimate still
-    asks only for the rows of its distinct samples, at most t per
-    direction, as the paper's per-estimate search bound assumes; later
-    working sets are subgraphs with their own distances and are searched
-    afresh.  The estimates draw their samples in bulk, bit-identical to
-    one randrange call per sample.
+    root store over it: each root row is searched once per cover, each
+    carve from the full set reuses the two searches from its center and,
+    for an equal member count, the ball itself, and an exact root
+    estimate (t >= n, which draws nothing) is made once per cover.  A
+    sampled estimate asks only for the rows of its distinct samples; later
+    working sets are subgraphs with their own distances, searched afresh.
 
     _root_rows is internal: a root store over all of g that an earlier
     cover of the same graph filled, in place of a fresh one.

@@ -1,23 +1,23 @@
-"""Sampled estimation of in-/out-ball size fractions.
+"""Estimation of in-/out-ball size fractions, sampled or exact.
 
 For each vertex u of the working set the estimator reports which
 fraction of that set lies within one-way distance r of u, outward and
 inward, from t = ceil(5 * eps^-2 * ln n) uniform samples drawn with
 replacement, as in Pachocki, Roditty, Sidford, Tov and Vassilevska
 Williams (SODA 2018).  The samples are the draws t calls of
-rng.randrange(n) would return, leaving rng in the same state, but their
-random words are taken in bulk and filtered with numpy instead of one
-call per draw.
+rng.randrange(n) would return, taken in bulk with the same effect on rng.
+When t >= n the sample would outnumber the working set, so every vertex
+is taken once instead (t = n): the fractions are exact, nothing is drawn
+from rng, and a shared row store keeps the estimate for later ones.
 
 Distances always come from the sample side: one batched Dijkstra per
-direction from the distinct samples, so an estimate searches at most
-|distinct samples| <= t rows per direction, the O(eps^-2 log n) bound,
-however large the working set.  The hits of every vertex are one
-matrix-vector product of the 0/1 matrix [d <= r] of those rows with
-the sample multiplicities, and stay exact integers.  The rows live in a
-row store over the working set, which the caller may share between
-estimates over that same set: an estimate then searches only the sample
-rows the store lacks, and thresholds them again only when r changes.
+direction from the distinct samples, at most min(t, n) rows, however
+large the working set.  The hits of every vertex are one matrix-vector
+product of the 0/1 matrix [d <= r] of those rows with the sample
+multiplicities, and stay exact integers.  The rows live in a row store
+over the working set, which the caller may share between estimates over
+that same set: an estimate then searches only the sample rows the store
+lacks, and thresholds them again only when r changes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ class FractionEstimates:
     out_hits/in_hits, aligned with them, how many of the t samples lie
     within one-way distance r of each, outward and inward; so every
     fraction f_out(u) = out_hits/t is exactly a multiple of 1/t.  sample
-    holds the drawn vertex ids in draw order, with multiplicity (length t).
+    holds the drawn vertex ids in draw order, with multiplicity (length t);
+    an exact estimate has t = n, sample = centers and the true fractions.
     """
 
     r: float
@@ -84,8 +85,9 @@ class _RowStore:
     out over the whole working set, so a store holds the rows its
     estimates asked for, not n^2 distances.
 
-    balls is the memo round_trip_ball keeps for carves from this working
-    set: per center, its two searches and the balls found so far."""
+    exact keeps the exact estimates (t >= n) by (r, epsilon); balls is the
+    memo round_trip_ball keeps for carves from this working set: per
+    center, its two searches and the balls found so far."""
 
     def __init__(self, g: Graph, verts):
         self.g = g
@@ -97,6 +99,7 @@ class _RowStore:
         self.pos = {d: np.zeros(0, dtype=np.int64) for d in (OUT, IN)}
         self.held = {d: np.zeros(n, dtype=bool) for d in (OUT, IN)}
         self.cut = {OUT: None, IN: None}
+        self.exact = {}
         self.balls = {}
 
     def hits(self, cols, direction, r, weights):
@@ -148,11 +151,12 @@ def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
     """Estimate out- and in-ball fractions at radius r for every vertex of
     G(restrict).
 
-    Searches at most |distinct samples| <= t rows per direction, all from
-    the sample side.
+    Searches at most min(t, n) rows per direction, all from the sample
+    side; when t >= n, every vertex is taken once and rng is not used.
 
     _rows is internal: a row store over the same g and restrict, shared
-    between estimates so that no row is searched twice.
+    between estimates so that no row is searched and no exact estimate
+    is computed twice.
     """
     if not 0 < r < math.inf:
         raise ValueError("r must be positive and finite")
@@ -165,14 +169,23 @@ def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
     elif _rows.g is not g or _rows.verts != verts:
         raise ValueError("row store belongs to another working set")
     t = sample_count(n, epsilon)
-    drawn = _randrange_draws(rng, n, t)
-    mult = np.bincount(drawn, minlength=n).astype(float)
-    cols = np.flatnonzero(mult)  # positions of the distinct samples, ascending
+    key = (float(r), float(epsilon))
+    if t < n:
+        drawn = _randrange_draws(rng, n, t)
+        mult = np.bincount(drawn, minlength=n).astype(float)
+        cols = np.flatnonzero(mult)  # positions of the distinct samples, ascending
+    elif key in _rows.exact:
+        return _rows.exact[key]
+    else:  # exact: every vertex once, nothing drawn
+        t, drawn, cols, mult = n, slice(None), np.arange(n), np.ones(n)
 
     # row v holds d(v, .) outward and d(., v) inward: d(v, u) <= r counts
     # toward f_in(u), d(u, v) <= r toward f_out(u).  Weighted by sample
     # multiplicity, the hits are sums of at most t integers, exact in float64.
-    in_hits = _rows.hits(cols, OUT, r, mult)
-    out_hits = _rows.hits(cols, IN, r, mult)
-    return FractionEstimates(float(r), float(epsilon), t, _rows.ids, _rows.ids[drawn],
-                             out_hits.astype(np.int64), in_hits.astype(np.int64))
+    in_hits = _rows.hits(cols, OUT, r, mult).astype(np.int64)
+    out_hits = _rows.hits(cols, IN, r, mult).astype(np.int64)
+    est = FractionEstimates(*key, t, _rows.ids, _rows.ids[drawn], out_hits, in_hits)
+    if t == n:  # exact, so kept for every later estimate at (r, epsilon)
+        out_hits.flags.writeable = in_hits.flags.writeable = False
+        _rows.exact[key] = est
+    return est

@@ -117,17 +117,6 @@ class MergeTree:
                 lead[node] = lead[p]
         return lead[:self.n]
 
-    def leaves_under(self, node):
-        out = []
-        stack = [node]
-        while stack:
-            x = stack.pop()
-            if x < self.n:
-                out.append(x)
-            else:
-                stack.extend(self.children[x])
-        return out
-
 
 def _scc_of_arcs(arcs):
     """Tarjan over the multigraph the arcs define; only components with two

@@ -295,7 +295,8 @@ class TestGoldenOutput:
         assert out != default
 
     def test_cover_json_stats(self, gen_file, capsys):
-        # radius 1 makes the partition branch and small-core carves both run
+        # radius 1 gives a root core of 1 of the 12 vertices, which every
+        # trial carves (the partition runs at radius 0.5 and below)
         code, out, _ = run(capsys, "cover", "--input", str(gen_file),
                            "--sources", "3", "--radius", "1", "--seed", "5",
                            "--verify", "--format", "json-stats")

@@ -234,6 +234,39 @@ class TestSwrtCover:
         assert len(searched) == 2 * 24
         assert max(searched.values()) == 1
 
+    def test_root_estimate_once_per_cover(self, monkeypatch):
+        # the whole ring is counted exactly (t >= 40), so the first trial's
+        # root estimate is kept and every later trial gets the same object;
+        # the partition runs here, so smaller working sets are estimated too
+        g = ring_with_chords("ring-a", 40, 6)
+        root_calls = []
+        real = est_mod.distance_matrix
+
+        def spy(g_, restrict, sources=None, direction=OUT):
+            if len(restrict) == g_.n:
+                root_calls.append(direction)
+            return real(g_, restrict, sources=sources, direction=direction)
+
+        root_ests, sub_ests = [], 0
+        real_est = cover_mod.estimate_ball_fractions
+
+        def est_spy(g_, restrict, *args, **kwargs):
+            nonlocal sub_ests
+            est = real_est(g_, restrict, *args, **kwargs)
+            if len(restrict) == g_.n:
+                root_ests.append(est)
+            else:
+                sub_ests += 1
+            return est
+
+        monkeypatch.setattr(est_mod, "distance_matrix", spy)
+        monkeypatch.setattr(cover_mod, "estimate_ball_fractions", est_spy)
+        cov = swrt_cover(g, 2, 2.0, [0, 13, 26], rng=random.Random(3))
+        assert cov.trials == len(root_ests) == 32 and sub_ests == 15
+        assert root_calls == [OUT, IN]
+        assert all(est is root_ests[0] for est in root_ests)
+        assert root_ests[0].t == g.n
+
     @pytest.mark.parametrize("n, chords, R", [(30, 4, 3.0), (40, 6, 4.0)])
     def test_trials_share_root_balls(self, n, chords, R, monkeypatch):
         # on these rings most carves from the full set take only part of

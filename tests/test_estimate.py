@@ -6,9 +6,10 @@ import pytest
 
 import rtspan.estimate as est_mod
 from conftest import random_graph
+from rtspan.cli import generate_graph
 from rtspan.estimate import (FractionEstimates, _randrange_draws, _RowStore, estimate_ball_fractions,
                              sample_count)
-from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp, vertex_ids
+from rtspan.graph import IN, OUT, UNREACHABLE, Graph, distance_matrix, sssp, vertex_ids
 
 
 class TestSampleCount:
@@ -43,10 +44,12 @@ class TestRandrangeDraws:
                 assert got_rng.getstate() == want_rng.getstate()
 
     def test_estimate_samples_are_randrange_draws(self):
+        # 23 vertices and eps 0.9 draw t = 20 samples, fewer than the set
         g = random_graph("est-draws", 50, 180)
         verts = vertex_ids(g, range(3, 48, 2))
         want_rng, got_rng = random.Random(12), random.Random(12)
-        est = estimate_ball_fractions(g, verts, 2.0, 0.5, got_rng)
+        est = estimate_ball_fractions(g, verts, 2.0, 0.9, got_rng)
+        assert est.t == 20 < len(verts)
         assert est.sample.tolist() == [verts[want_rng.randrange(len(verts))] for _ in range(est.t)]
         assert got_rng.getstate() == want_rng.getstate()
 
@@ -99,27 +102,33 @@ class TestEstimate:
             assert est.f_out(u) == 1.0 and est.f_in(u) == 1.0
 
     def test_edgeless_graph_near_uniform(self):
-        g = Graph(16, [])
-        est = estimate_ball_fractions(g, None, 1.0, 0.125, random.Random(42))
-        assert est.t == sample_count(16, 0.125)
-        for u in range(16):
-            assert abs(est.f_out(u) - 1 / 16) <= est.epsilon
+        # 40 vertices and eps 0.9 draw t = 23 samples, fewer than the set
+        g = Graph(40, [])
+        est = estimate_ball_fractions(g, None, 1.0, 0.9, random.Random(42))
+        assert est.t == sample_count(40, 0.9) < 40
+        assert est.out_hits.sum() == est.in_hits.sum() == est.t
+        for u in range(40):
+            assert abs(est.f_out(u) - 1 / 40) <= est.epsilon
             assert est.f_out(u) == est.f_in(u)   # only the vertex itself is in reach
 
     def test_counts_are_exact_sample_hits(self):
-        g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        rng = FixedSequence([0, 1, 2, 2], 3)
+        # the path 0 -> 1 -> 2 among 17 isolated vertices: a set of 3 would
+        # be counted exactly, as no eps < 1 draws fewer than 3 samples
+        g = Graph(20, [(0, 1, 1.0), (1, 2, 1.0)])
+        rng = FixedSequence([0, 1, 2, 2], 20)
         est = estimate_ball_fractions(g, None, 1.0, 0.9, rng)
-        # t = ceil(5 * (10/9)^2 * ln 3) = 7, sample cycles 0,1,2,2,0,1,2
-        assert est.t == 7
-        assert est.sample.tolist() == [0, 1, 2, 2, 0, 1, 2]
-        assert est.centers.tolist() == [0, 1, 2]
+        # t = ceil(5 * (10/9)^2 * ln 20) = 19; the sample cycles 0,1,2,2,
+        # so 0 and 1 are drawn 5 times each and 2 is drawn 9 times
+        assert est.t == 19
+        assert est.sample.tolist() == [0, 1, 2, 2] * 4 + [0, 1, 2]
+        assert est.centers.tolist() == list(range(20))
         # within distance 1: out of 0 -> {0,1}; in of 0 -> {0}
-        assert est.out_hits[0] == 4 and est.in_hits[0] == 2
-        assert est.out_hits[1] == 5 and est.in_hits[1] == 4
-        assert est.out_hits[2] == 3 and est.in_hits[2] == 5
+        assert est.out_hits[0] == 10 and est.in_hits[0] == 5
+        assert est.out_hits[1] == 14 and est.in_hits[1] == 10
+        assert est.out_hits[2] == 9 and est.in_hits[2] == 14
+        assert not est.out_hits[3:].any() and not est.in_hits[3:].any()
         assert np.issubdtype(est.out_hits.dtype, np.integer)
-        for u in range(3):
+        for u in range(20):
             assert est.f_out(u) * est.t == est.out_hits[u]
 
     def test_one_vertex_query_matches_recount(self):
@@ -133,7 +142,8 @@ class TestEstimate:
     def test_all_vertex_query_matches_recount(self):
         g = random_graph("est-s", 40, 150)
         rng = FixedSequence([0, 3, 5], 40)      # 3 distinct draws, 40 vertices
-        est = estimate_ball_fractions(g, None, 2.0, 0.5, rng)
+        est = estimate_ball_fractions(g, None, 2.0, 0.9, rng)
+        assert est.t == 23 < 40
         assert len(set(est.sample.tolist())) == 3
         assert est.centers.tolist() == list(range(40))
         for u in range(40):
@@ -179,6 +189,66 @@ class TestEstimate:
                 est.f_in(u)
 
 
+class TestExact:
+    # t >= |verts|: 30 vertices at eps 0.5 would draw t = 69 samples, and
+    # 20 of them at eps 0.125 would draw 959
+    @pytest.mark.parametrize("restrict, eps", [(None, 0.5), (range(5, 25), 0.125)],
+                             ids=["whole", "middle"])
+    def test_counts_every_vertex_once(self, restrict, eps):
+        g = random_graph("est-exact", 30, 110)
+        verts = vertex_ids(g, restrict)
+        rng = random.Random(6)
+        state = rng.getstate()
+        est = estimate_ball_fractions(g, restrict, 1.5, eps, rng)
+        assert rng.getstate() == state
+        assert sample_count(len(verts), eps) >= len(verts)
+        assert est.t == len(verts)
+        assert np.array_equal(est.sample, est.centers)
+        # row i: d(verts[i], .) over the working set
+        d = distance_matrix(g, verts, sources=verts, direction=OUT)
+        assert est.out_hits.tolist() == (d <= 1.5).sum(axis=1).tolist()
+        assert est.in_hits.tolist() == (d <= 1.5).sum(axis=0).tolist()
+
+    def test_shared_store_memoizes(self, monkeypatch):
+        g = random_graph("est-exact", 30, 110)
+        calls = []
+        real = est_mod.distance_matrix
+
+        def spy(g_, restrict_, sources=None, direction=OUT):
+            calls.append(direction)
+            return real(g_, restrict_, sources=sources, direction=direction)
+
+        monkeypatch.setattr(est_mod, "distance_matrix", spy)
+        store = _RowStore(g, vertex_ids(g, None))
+        first = estimate_ball_fractions(g, None, 1.5, 0.5, random.Random(1), _rows=store)
+        assert calls == [OUT, IN]
+        assert estimate_ball_fractions(g, None, 1.5, 0.5, random.Random(2), _rows=store) is first
+        other = estimate_ball_fractions(g, None, 3.0, 0.5, random.Random(3), _rows=store)
+        assert other is not first and calls == [OUT, IN]  # same rows, new radius
+        assert not first.out_hits.flags.writeable
+
+
+class TestSampledAccuracy:
+    def test_within_eps(self):
+        # criterion 5's gate on the sampled path: 256 vertices at eps 0.5
+        # draw t = 111 samples, fewer than the working set
+        g = generate_graph(256, 1024, random.Random("crit5:graph"), strongly_connected=True)
+        d_out = distance_matrix(g, None, sources=range(256), direction=OUT)
+        finite = d_out[np.isfinite(d_out) & (d_out > 0)]
+        r = float(np.percentile(finite, 25))
+        eps = 0.5
+        exact_out = (d_out <= r).sum(axis=1) / 256.0
+        exact_in = (d_out <= r).sum(axis=0) / 256.0
+        good = 0
+        for i in range(100):
+            est = estimate_ball_fractions(g, None, r, eps, random.Random(f"sampled:{i}"))
+            assert est.t == 111
+            if (np.abs(est.out_hits / est.t - exact_out).max() <= eps
+                    and np.abs(est.in_hits / est.t - exact_in).max() <= eps):
+                good += 1
+        assert good >= 99
+
+
 class TestSearchBound:
     # n = 40 and eps = 0.9 draw t = 23 samples, fewer than n, so the bound
     # |distinct samples| <= t is tighter than searching every vertex
@@ -202,7 +272,8 @@ class TestSearchBound:
 
 class TestSharedRows:
     # (r, epsilon, seed): eps 0.9 draws t = 23 samples, fewer than the
-    # working set; eps 0.25 draws hundreds, so every vertex is drawn.
+    # working set; eps 0.5 and 0.25 would draw more than it holds, so those
+    # estimates count every vertex once and the store keeps them.
     # Seed 8 repeats the radius before it and searches rows the store lacks,
     # so a [d <= r] matrix kept from seed 3 would be stale.
     CASES = [

@@ -245,8 +245,14 @@ class TestGoldenMergeTree:
         g = random_graph("golden-merge-grid", 40, 100)
         tree, h1 = linfty_merge_tree(g)
         assert sorted(h1) == list(GOLDEN_GRID_H1)
-        nodes = [(tree.label[x], tuple(sorted(tree.leaves_under(x))))
-                 for x in range(tree.n, tree.size)]
+        # each leaf joins every node on its path to the root
+        leaves = {x: [] for x in range(tree.n, tree.size)}
+        for v in range(tree.n):
+            x = tree.parent[v]
+            while x != -1:
+                leaves[x].append(v)
+                x = tree.parent[x]
+        nodes = [(tree.label[x], tuple(sorted(leaves[x]))) for x in range(tree.n, tree.size)]
         assert len(nodes) == len(GOLDEN_GRID_NODES)
         assert set(nodes) == GOLDEN_GRID_NODES
 
