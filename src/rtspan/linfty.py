@@ -3,13 +3,15 @@
 The bottleneck round-trip distance of two vertices is the smallest weight
 threshold at which they become mutually reachable using only edges at or
 below it.  Merging strongly connected super-nodes as the threshold rises
-yields a dendrogram (MergeTree) whose LCA labels realize that distance in
-O(1) per query, plus a small certificate edge set that preserves it.  The
+yields a dendrogram (MergeTree) whose lowest-common-ancestor labels are
+that distance, plus a small certificate edge set that preserves it.  The
 merges are found by an offline incremental-SCC divide and conquer over
 the ranks of the distinct weights, O(m log m) SCC work rather than one
 SCC pass per distinct weight; internal nodes that form at one weight are
 numbered in min_leaf order.  Contraction cuts a graph down to one weight
-window so each distance scale works on a small graph.
+window so each distance scale works on a small graph; the windows and
+their edges are read off the tree's labels and its per-threshold
+leaders (partition_at), never from per-pair distances.
 """
 
 from __future__ import annotations
@@ -28,78 +30,35 @@ class MergeTree:
     connected super-node.  Every node's id is above its children's, and
     labels never decrease from leaf to root.
     Leaves in different trees of the forest share no cycle at all.
+    Only parent links are kept: distance climbs them in O(depth) per
+    query, and partition_at reads every leader at one threshold in one
+    O(size) pass.
     """
 
-    def __init__(self, n, label, parent, children, min_leaf):
+    def __init__(self, n, label, parent, min_leaf):
         self.n = n
         self.label = label
         self.parent = parent
-        self.children = children
         self.min_leaf = min_leaf
         self.size = len(label)
-        self._lca = None
-
-    def roots(self):
-        return [x for x in range(self.size) if self.parent[x] == -1]
-
-    def _build_lca(self):
-        first = [-1] * self.size
-        comp = [-1] * self.size
-        euler = []
-        depth = []
-        for root in self.roots():
-            stack = [(root, 0, 0)]
-            while stack:
-                node, d, ci = stack.pop()
-                if ci == 0:
-                    first[node] = len(euler)
-                    comp[node] = root
-                euler.append(node)
-                depth.append(d)
-                kids = self.children[node]
-                if ci < len(kids):
-                    stack.append((node, d, ci + 1))
-                    stack.append((kids[ci], d + 1, 0))
-        # sparse table of euler indexes, min by tour depth
-        m = len(euler)
-        table = [list(range(m))]
-        j = 1
-        while (1 << j) <= m:
-            prev = table[-1]
-            half = 1 << (j - 1)
-            cur = []
-            for i in range(m - (1 << j) + 1):
-                a, b = prev[i], prev[i + half]
-                cur.append(a if depth[a] <= depth[b] else b)
-            table.append(cur)
-            j += 1
-        self._lca = (first, comp, euler, depth, table)
-
-    def lca(self, u, v):
-        """Lowest common ancestor node id, or None across the forest."""
-        if self._lca is None:
-            self._build_lca()
-        first, comp, euler, depth, table = self._lca
-        if comp[u] != comp[v]:
-            return None
-        a, b = first[u], first[v]
-        if a > b:
-            a, b = b, a
-        j = (b - a + 1).bit_length() - 1
-        x = table[j][a]
-        y = table[j][b - (1 << j) + 1]
-        return euler[x] if depth[x] <= depth[y] else euler[y]
 
     def distance(self, u, v):
-        """Bottleneck round-trip distance; 0 for u == v by convention."""
+        """Bottleneck round-trip distance; 0 for u == v by convention.
+
+        The label of the lowest common ancestor (a leaf's label is 0),
+        found by a climb that steps the lower id to its parent until the
+        two meet (a parent's id exceeds its children's): O(depth) per
+        query."""
         if not (0 <= u < self.n) or not (0 <= v < self.n):
             raise ValueError("vertex id out of range")
-        if u == v:
-            return 0.0
-        node = self.lca(u, v)
-        if node is None:
-            return UNREACHABLE
-        return self.label[node]
+        parent = self.parent
+        while u != v:
+            if u > v:
+                u, v = v, u
+            u = parent[u]
+            if u == -1:  # u was a root, and v is not above it
+                return UNREACHABLE
+        return self.label[u]
 
     def partition_at(self, x):
         """Per-vertex leader: the highest node over it with label <= x.
@@ -220,7 +179,6 @@ def linfty_merge_tree(g: Graph):
     n = g.n
     label = [0.0] * n
     parent = [-1] * n
-    children = [()] * n
     min_leaf = list(range(n))
     uf = list(range(n))
 
@@ -280,13 +238,12 @@ def linfty_merge_tree(g: Graph):
             node = len(label)
             label.append(weights[lo])
             parent.append(-1)
-            children.append(tuple(kids))
             min_leaf.append(min_leaf[root])
             uf.append(node)
             for x in kids:
                 parent[x] = node
                 uf[x] = node
-    tree = MergeTree(n, label, parent, children, min_leaf)
+    tree = MergeTree(n, label, parent, min_leaf)
     return tree, frozenset(h1)
 
 
@@ -310,20 +267,19 @@ class ContractionBundle:
 
 
 def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree, *,
-             _dist=None, _graphs: dict | None = None) -> ContractionBundle:
+             _graphs: dict | None = None) -> ContractionBundle:
     """Cut g down to the weight window [x_lo, x_hi].
 
     In order: groups mutually reachable within weight x_lo melt into one
     super-vertex; edges heavier than x_hi drop; edges whose endpoints
-    have bottleneck distance above x_hi drop (no cycle this cheap uses
-    them); vertices left without any edge drop.  Parallel super-edges
-    keep only the lightest per ordered pair.  Sources follow their
-    vertices and silently vanish when removed.
+    have different leaders at x_hi drop (no cycle this cheap uses them);
+    vertices left without any edge drop.  Parallel super-edges keep only
+    the lightest per ordered pair.  Sources follow their vertices and
+    silently vanish when removed.
 
-    _dist and _graphs are internal, for build_scales: _dist holds
-    tree.distance of every edge's endpoints, by edge index, and _graphs
-    maps (vertex_map, edge_map) to the Graph already built for an equal
-    window, which is then returned again instead of a copy.
+    _graphs is internal, for build_scales: it maps (vertex_map, edge_map)
+    to the Graph already built for an equal window, which is then
+    returned again instead of a copy.
     """
     if x_lo > x_hi:
         raise ValueError("window must satisfy x_lo <= x_hi")
@@ -331,15 +287,13 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree, *,
         if not (0 <= s < g.n):
             raise ValueError(f"source {s} is not a vertex")
     leader = tree.partition_at(x_lo)
+    cycle = tree.partition_at(x_hi)  # equal iff bottleneck distance <= x_hi
     survivors = {}
     for eidx, (u, v, w) in enumerate(g.edges):
-        if w > x_hi:
+        if w > x_hi or cycle[u] != cycle[v]:
             continue
         lu, lv = leader[u], leader[v]
         if lu == lv:
-            continue
-        d = tree.distance(u, v) if _dist is None else _dist[eidx]
-        if d is UNREACHABLE or d > x_hi:
             continue
         key = (lu, lv)
         cur = survivors.get(key)
@@ -377,34 +331,30 @@ def build_scales(g: Graph, sources, tree: MergeTree):
     [2^t/n, 2^t] keeps at least one edge.
 
     An edge (u, v) with bottleneck distance d survives scale t exactly
-    when max(w, d) <= 2^t and d > 2^t/n.  Candidate t values come from
-    logarithms, then get filtered with the same float predicates contract
-    applies, so enumeration and contraction cannot disagree.
+    when max(w, d) <= 2^t and d > 2^t/n.  Every surviving edge's d is the
+    label L of an internal node, and every internal node's merge arcs
+    have w <= L and that node as their lowest common ancestor; so the
+    scales are the t with L <= 2^t and L > 2^t/n over the distinct
+    internal labels L.  Candidate t values come from logarithms, then get
+    filtered with that float predicate, the one contract applies, so
+    enumeration and contraction cannot disagree.
 
-    Each edge's bottleneck distance is looked up once and handed to every
-    contract call, and windows with equal vertex and edge maps share one
-    Graph object, so a cover of one window can hand its searches on to
-    the next.
+    Windows with equal vertex and edge maps share one Graph object, so a
+    cover of one window can hand its searches on to the next.
     """
     n = g.n
     if n < 2 or g.m == 0:
         return []
-    dist = [tree.distance(u, v) for u, v, _ in g.edges]
     cand = set()
-    for (u, v, w), d in zip(g.edges, dist):
-        if u == v or d is UNREACHABLE:
-            continue
-        lo = math.floor(math.log2(max(w, d))) - 2
-        hi = math.ceil(math.log2(d * n)) + 2
-        for t in range(lo, hi + 1):
-            x = 2.0 ** t
-            if max(w, d) <= x and d > x / n:
-                cand.add(t)
+    for lab in set(tree.label[n:]):
+        lo = math.floor(math.log2(lab)) - 2
+        hi = math.ceil(math.log2(lab * n)) + 2
+        cand.update(t for t in range(lo, hi + 1) if 2.0 ** t / n < lab <= 2.0 ** t)
     bundles = []
     graphs = {}
     for t in sorted(cand):
         x = 2.0 ** t
-        b = contract(g, sources, x / n, x, tree, _dist=dist, _graphs=graphs)
+        b = contract(g, sources, x / n, x, tree, _graphs=graphs)
         assert b.graph.m > 0, "enumerated scale contracted to nothing"
         bundles.append(replace(b, t=t))
     return bundles

