@@ -84,9 +84,9 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
     with the guaranteed probability, every source stays together with its
     near vertices in some ball.  sources must be vertices of g.
 
-    _root_rows is internal: a distance row store over all of g, handed to
-    the estimate and the carves of the whole vertex set so that runs over
-    one graph share their searches and balls.
+    The estimate, carve and partition of a working set with two or more
+    sources read one distance row store.  _root_rows is internal: the store
+    for the whole vertex set, so that runs over one graph share it.
     """
     if params is None:
         params = CoverParams()
@@ -111,13 +111,14 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
         deepest = max(deepest, depth)
         if not verts or not S:
             continue
-        root = _root_rows if verts is base else None
-        memo = root.balls if root is not None else None
+        rows = _root_rows if verts is base else None
         if len(S) == 1:
             (u,) = S
-            balls.append(round_trip_ball(g, verts, u, r, _memo=memo))
+            balls.append(round_trip_ball(g, verts, u, r, _memo=rows and rows.balls))
             continue
-        est = estimate_ball_fractions(g, verts, c * r, params.epsilon, rng, _rows=root)
+        if rows is None:
+            rows = _RowStore(g, sorted(verts))
+        est = estimate_ball_fractions(g, verts, c * r, params.epsilon, rng, _rows=rows)
         # f >= 3/4 exactly when 4 * hits >= 3 * t, hits and t being integers;
         # est.centers is the working set, ascending
         ids, t = est.centers, est.t
@@ -127,15 +128,15 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
         if core.any():
             u = int(ids[np.argmax(core)])  # the smallest core vertex
             ru = rng.uniform(2 * c * r, 2 * (c + 1) * r)
-            b = round_trip_ball(g, verts, u, ru, _memo=memo)
+            b = round_trip_ball(g, verts, u, ru, _memo=rows.balls)
             balls.append(b)
             stack.append((verts - b.members, S - b.members, depth + 1))
             continue
         nv = len(verts)
         if np.count_nonzero(out_ok) <= nv / 2:
-            part = cluster(g, verts, ids[~out_ok].tolist(), r, len(S), OUT, rng)
+            part = cluster(g, verts, ids[~out_ok].tolist(), r, len(S), OUT, rng, _rows=rows)
         else:
-            part = cluster(g, verts, ids[~in_ok].tolist(), r, len(S), IN, rng)
+            part = cluster(g, verts, ids[~in_ok].tolist(), r, len(S), IN, rng, _rows=rows)
         pieces = part.parts()
         if max(len(p) for p in pieces) > 7 * nv / 8:
             failures.append(frozenset(verts))
@@ -169,7 +170,7 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     for an equal member count, the ball itself, and an exact root
     estimate (t >= n, which draws nothing) is made once per cover.  A
     sampled estimate asks only for the rows of its distinct samples; later
-    working sets are subgraphs with their own distances, searched afresh.
+    working sets are subgraphs with their own distances, and stores.
 
     _root_rows is internal: a root store over all of g that an earlier
     cover of the same graph filled, in place of a fresh one.

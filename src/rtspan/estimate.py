@@ -75,15 +75,15 @@ class FractionEstimates:
 
 class _RowStore:
     """Dijkstra rows over one fixed working set, one per (direction, source),
-    each searched at most once however many estimates ask for it.
+    each searched at most once however many callers ask for it.
 
     Per direction, rows stacks the rows searched so far in one array, in
     search order; pos holds the working-set position of each row's source
-    and held marks the positions whose row is stacked.  cut caches the 0/1
-    matrix [rows <= r] for the last radius asked, and is rebuilt when rows
-    are added or r changes.  Rows are stacked as searched rather than laid
-    out over the whole working set, so a store holds the rows its
-    estimates asked for, not n^2 distances.
+    and at, per position, the index of its row (-1 while not searched).
+    cut caches the 0/1 matrix [rows <= r] for the last radius asked, and is
+    rebuilt when rows are added or r changes.  Rows are stacked as searched
+    rather than laid out over the whole working set, so a store holds the
+    rows its callers asked for, not n^2 distances.
 
     exact keeps the exact estimates (t >= n) by (r, epsilon); balls is the
     memo round_trip_ball keeps for carves from this working set: per
@@ -97,25 +97,36 @@ class _RowStore:
         n = len(verts)
         self.rows = {d: np.zeros((0, n)) for d in (OUT, IN)}
         self.pos = {d: np.zeros(0, dtype=np.int64) for d in (OUT, IN)}
-        self.held = {d: np.zeros(n, dtype=bool) for d in (OUT, IN)}
+        self.at = {d: np.full(n, -1, dtype=np.int64) for d in (OUT, IN)}
         self.cut = {OUT: None, IN: None}
         self.exact = {}
         self.balls = {}
 
-    def hits(self, cols, direction, r, weights):
-        """For every working-set position q, the sum of weights[p] over the
-        held rows p whose entry at q is <= r, after one batched search for
-        the rows at `cols` not yet held.  cols are ascending positions and
-        must include every p with weights[p] != 0; other held rows add 0."""
-        held = self.held[direction]
-        missing = cols[~held[cols]]
+    def fetch(self, cols, direction):
+        """Search and stack, in one batched call, the rows at cols not held."""
+        at = self.at[direction]
+        missing = cols[at[cols] < 0]
         if len(missing):
             block = distance_matrix(self.g, self.verts, sources=self.ids[missing].tolist(),
                                     direction=direction)
-            held[missing] = True
-            self.pos[direction] = np.concatenate((self.pos[direction], missing))
+            pos = self.pos[direction]
+            at[missing] = np.arange(len(pos), len(pos) + len(missing))
+            self.pos[direction] = np.concatenate((pos, missing))
             self.rows[direction] = np.concatenate((self.rows[direction], block))
             self.cut[direction] = None
+
+    def rows_at(self, cols, direction):
+        """The rows at positions cols, in that order, as a new array: row i
+        holds d(verts[cols[i]], .) outward and d(., verts[cols[i]]) inward."""
+        self.fetch(cols, direction)
+        return self.rows[direction][self.at[direction][cols]]
+
+    def hits(self, cols, direction, r, weights):
+        """For every working-set position q, the sum of weights[p] over the
+        held rows p whose entry at q is <= r, after fetching the rows at
+        `cols`.  cols are ascending positions and must include every p with
+        weights[p] != 0; other held rows add 0."""
+        self.fetch(cols, direction)
         cut = self.cut[direction]
         if cut is None or cut[0] != r:
             cut = self.cut[direction] = (r, (self.rows[direction] <= r).astype(float))

@@ -1,12 +1,13 @@
-"""Weighted digraph core: representation, edge-list I/O, the one
-multi-source Dijkstra every search shares, and round-trip balls with
-certifying trees.
+"""Weighted digraph core: representation, edge-list I/O, the one heap
+Dijkstra (sssp: single source, with parent edges) and the round-trip
+balls whose trees it certifies.
 
 Vertex ids are dense integers 0..n-1.  Edge weights are strictly positive
 finite floats.  Missing distances are reported as the module-level
 UNREACHABLE marker, never as a numeric sentinel, so they cannot silently
 take part in arithmetic.  A narrow numpy/scipy boundary (distance_matrix)
-exists for bulk distance queries; infinities stay behind that boundary.
+serves every bulk distance query, without trees; infinities stay behind
+that boundary.
 """
 
 from __future__ import annotations
@@ -154,18 +155,6 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-def membership(g: Graph, restrict):
-    """Boolean per-vertex membership list; restrict=None selects every vertex."""
-    if restrict is None:
-        return [True] * g.n
-    member = [False] * g.n
-    for v in restrict:
-        if not (0 <= v < g.n):
-            raise ValueError(f"restrict contains invalid vertex id {v}")
-        member[v] = True
-    return member
-
-
 def vertex_ids(g: Graph, restrict):
     """Sorted list of the vertex ids selected by restrict."""
     if restrict is None:
@@ -194,27 +183,25 @@ class DistanceVector:
         return self.dist[v] is not UNREACHABLE
 
 
-def dijkstra(g: Graph, member, seeds, direction: str):
-    """Multi-source binary-heap Dijkstra inside the vertices marked in member.
+def sssp(g: Graph, restrict, source: int, direction: str = OUT) -> DistanceVector:
+    """Single-source binary-heap Dijkstra inside the induced subgraph G(restrict).
 
-    seeds holds distinct (offset, seed) starts: seed begins at distance
-    offset and owns the vertices its search reaches first.  A vertex takes
-    the smallest (distance, owner) pair over all seeds, so equal distances
-    go to the smaller seed.  Returns per-vertex lists dist (UNREACHABLE off
-    the search), owner and parent_edge (None at seeds and off the search).
+    direction OUT yields d(source, v); IN yields d(v, source) by walking
+    the reverse adjacency.  Vertices outside restrict keep UNREACHABLE.
     """
+    member = [False] * g.n
+    for v in vertex_ids(g, restrict):
+        member[v] = True
+    if not (0 <= source < g.n) or not member[source]:
+        raise ValueError(f"source {source} not inside restrict")
     adj = g.adjacency(direction)
     dist = [UNREACHABLE] * g.n
-    owner = [None] * g.n
     parent = [None] * g.n
     done = [False] * g.n
-    heap = []
-    for d, u in seeds:
-        dist[u] = d
-        owner[u] = u
-        heappush(heap, (d, u, u))
+    dist[source] = 0.0
+    heap = [(0.0, source)]
     while heap:
-        d, c, u = heappop(heap)
+        d, u = heappop(heap)
         if done[u]:
             continue
         done[u] = True
@@ -223,24 +210,10 @@ def dijkstra(g: Graph, member, seeds, direction: str):
                 continue
             nd = d + w
             cur = dist[v]
-            if cur is UNREACHABLE or nd < cur or (nd == cur and c < owner[v]):
+            if cur is UNREACHABLE or nd < cur:
                 dist[v] = nd
-                owner[v] = c
                 parent[v] = eidx
-                heappush(heap, (nd, c, v))
-    return dist, owner, parent
-
-
-def sssp(g: Graph, restrict, source: int, direction: str = OUT) -> DistanceVector:
-    """Single-source Dijkstra inside the induced subgraph G(restrict).
-
-    direction OUT yields d(source, v); IN yields d(v, source) by walking
-    the reverse adjacency.  Vertices outside restrict keep UNREACHABLE.
-    """
-    member = membership(g, restrict)
-    if not (0 <= source < g.n) or not member[source]:
-        raise ValueError(f"source {source} not inside restrict")
-    dist, _, parent = dijkstra(g, member, [(0.0, source)], direction)
+                heappush(heap, (nd, v))
     return DistanceVector(source, direction, tuple(dist), tuple(parent))
 
 

@@ -3,8 +3,8 @@
 Each center draws a radius from Exp(ln(s)/r); a vertex joins the center
 whose clock reaches it first, measured by r_u - d(u, v) (or the reverse
 distance for inward clustering).  Vertices no clock reaches form a
-residual part.  Shifting each center's start by maxr - r_u turns every
-assignment into one multi-source search, the shared Dijkstra in graph.
+residual part.  The distances are the centers' rows in the working set's
+row store, which the cover's ball-fraction estimate has already filled.
 """
 
 from __future__ import annotations
@@ -13,16 +13,19 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import OUT, UNREACHABLE, Graph, dijkstra, membership, vertex_ids
+import numpy as np
+
+from .estimate import _RowStore
+from .graph import IN, OUT, Graph, vertex_ids
 
 
 @dataclass(frozen=True)
 class Cluster:
     """One part of a Partition.
 
-    radius is the sampled clock value r_u.  reach is the largest observed
-    center-to-member distance (member-to-center for inward runs); it is
-    recovered from the search labels, so it carries their float rounding.
+    radius is the sampled clock value r_u.  reach is the largest
+    center-to-member distance (member-to-center for inward runs), read from
+    the center's distance row, so it carries that search's float rounding.
     """
 
     center: int
@@ -52,7 +55,7 @@ class Partition:
 
 
 def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
-            rng: random.Random | None = None) -> Partition:
+            rng: random.Random | None = None, *, _rows: _RowStore | None = None) -> Partition:
     """Partition G(restrict) around `centers` with clock rate ln(s)/r.
 
     Each center u draws its radius r_u from rng.expovariate, in ascending
@@ -60,6 +63,10 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
     r_u - d(u, v) (direction IN uses d(v, u)) when that maximum is
     positive; ties go to the smallest center id.  Unclaimed vertices form
     the residual, which never exceeds |restrict| - |centers|.
+
+    d comes from the centers' rows of a row store over G(restrict), and
+    reach from the same rows.  _rows is internal: such a store, whose held
+    rows are read, not searched again, in place of a fresh one.
     """
     if not isinstance(s, int) or s < 2:
         raise ValueError("s must be an integer >= 2")
@@ -67,37 +74,39 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
         raise ValueError("r must be positive and finite")
     if rng is None:
         raise ValueError("rng is required")
-    member = membership(g, restrict)
+    if direction not in (OUT, IN):
+        raise ValueError(f"direction must be OUT or IN, got {direction!r}")
+    verts = vertex_ids(g, restrict)
+    if _rows is None:
+        _rows = _RowStore(g, verts)
+    elif _rows.g is not g or _rows.verts != verts:
+        raise ValueError("row store belongs to another working set")
+    ids = _rows.ids
     U = sorted(set(centers))
-    for u in U:
-        if not (0 <= u < g.n) or not member[u]:
+    at = np.searchsorted(ids, U)
+    for u, i in zip(U, at.tolist()):
+        if i == len(verts) or verts[i] != u:
             raise ValueError(f"center {u} not inside restrict")
     if not U:
-        return Partition((), frozenset(vertex_ids(g, restrict)))
+        return Partition((), frozenset(verts))
 
     rate = math.log(s) / r
-    rad = {u: rng.expovariate(rate) for u in U}
+    rad = [rng.expovariate(rate) for _ in U]
 
-    # Each center starts at offset maxr - r_u, so the smallest shifted
-    # distance is the largest r_u - d(u, v), and the search's (distance,
-    # owner) order gives the smallest-center tie-break exactly.
-    maxr = max(rad.values())
-    dist, owner, _ = dijkstra(g, member, [(maxr - rad[u], u) for u in U], direction)
-
-    claimed = {u: [] for u in U}
-    residual = []
-    for v in vertex_ids(g, restrict):
-        d = dist[v]
-        if d is not UNREACHABLE and d < maxr:
-            claimed[owner[v]].append(v)
-        else:
-            residual.append(v)
-
-    clusters = []
-    for u in U:
-        if not claimed[u]:
-            continue
-        offset = maxr - rad[u]
-        reach = max(dist[v] - offset for v in claimed[u])
-        clusters.append(Cluster(u, rad[u], frozenset(claimed[u]), reach))
-    return Partition(tuple(clusters), frozenset(residual))
+    # score[i, q] = r_u - d for center U[i] and vertex verts[q], written over
+    # the copy of the rows: a second k x n array costs more in fresh pages
+    # than the scoring; argmax takes the first equal maximum, the smallest center
+    score = _rows.rows_at(at, direction)
+    np.subtract(np.asarray(rad)[:, None], score, out=score)
+    best = score.argmax(axis=0)
+    claimed = score[best, np.arange(len(ids))] > 0.0
+    q = np.flatnonzero(claimed)
+    q = q[np.argsort(best[q], kind="stable")]  # by center, then by vertex
+    won, starts, slot = np.unique(best[q], return_index=True, return_inverse=True)
+    # score overwrote its copy of the rows, so reach reads the winners' rows
+    reach = np.maximum.reduceat(_rows.rows_at(at[won], direction)[slot, q], starts).tolist()
+    members = ids[q].tolist()
+    ends = [*starts[1:].tolist(), len(members)]
+    clusters = tuple(Cluster(U[i], rad[i], frozenset(members[a:b]), d) for i, a, b, d
+                     in zip(won.tolist(), starts.tolist(), ends, reach))
+    return Partition(clusters, frozenset(ids[~claimed].tolist()))

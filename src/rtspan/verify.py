@@ -18,20 +18,30 @@ from scipy.sparse.csgraph import connected_components
 from .graph import IN, OUT, UNREACHABLE, Graph, sssp, vertex_ids
 
 
+def _edges_at(g: Graph, edge_indexes):
+    """The edges of g at edge_indexes; ValueError for an index outside [0, m)."""
+    edges = []
+    for i in edge_indexes:
+        if not 0 <= i < g.m:
+            raise ValueError(f"edge index {i} outside [0, {g.m})")
+        edges.append(g.edges[i])
+    return edges
+
+
 def oracle_one_way_all_pairs(g: Graph, restrict=None, edge_indexes=None):
     """(ids, matrix) of one-way shortest distances by Floyd-Warshall.
 
     Rows and columns follow sorted(restrict); unreachable is np.inf.
     edge_indexes limits the edge set without renumbering vertices, which
-    keeps subgraph distances comparable to the host graph's.
+    keeps subgraph distances comparable to the host graph's; an index
+    outside [0, m) raises ValueError.
     """
     ids = vertex_ids(g, restrict)
     pos = {v: i for i, v in enumerate(ids)}
     k = len(ids)
     dist = np.full((k, k), np.inf)
     np.fill_diagonal(dist, 0.0)
-    source = g.edges if edge_indexes is None else [g.edges[i] for i in edge_indexes]
-    for u, v, w in source:
+    for u, v, w in g.edges if edge_indexes is None else _edges_at(g, edge_indexes):
         iu = pos.get(u)
         iv = pos.get(v)
         if iu is None or iv is None:
@@ -186,8 +196,7 @@ def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
     measured = {}
     for center, members, tree in dict.fromkeys(balls):
         touched = {center}
-        for eidx in tree:
-            u, v, _ = g.edges[eidx]
+        for u, v, _ in _edges_at(g, tree):
             touched.add(u)
             touched.add(v)
         ids, dist = oracle_one_way_all_pairs(g, restrict=touched, edge_indexes=tree)
@@ -240,6 +249,7 @@ def partition_probability_trial(g: Graph, pair, centers, r, s, direction, trials
     The lower bound is s^(-R/r) with R the pair's round-trip distance;
     the pair must be round-trip connected for that to mean anything.
     """
+    from .estimate import _RowStore
     from .partition import cluster
 
     u, v = pair
@@ -250,8 +260,9 @@ def partition_probability_trial(g: Graph, pair, centers, r, s, direction, trials
     rt = fwd + back
     bound = float(s) ** (-rt / r)
     hits = 0
+    rows = _RowStore(g, list(range(g.n)))  # the center rows, searched once for all trials
     for _ in range(trials):
-        part = cluster(g, None, centers, r, s, direction=direction, rng=rng)
+        part = cluster(g, None, centers, r, s, direction=direction, rng=rng, _rows=rows)
         if part.same_part(u, v):
             hits += 1
     return ProbabilityReport(trials=trials, successes=hits, bound=bound)

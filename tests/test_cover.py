@@ -146,7 +146,7 @@ class TestRecursiveCover:
             centers = np.arange(16)
             out_hits = in_hits = np.zeros(16, dtype=np.int64)
 
-        def giant(g_, verts, centers, r, s, direction, rng):
+        def giant(g_, verts, centers, r, s, direction, rng, **kw):
             members = frozenset(verts)
             return Partition((Cluster(min(members), 1.0, members, 0.0),),
                              frozenset())
@@ -157,6 +157,33 @@ class TestRecursiveCover:
         cov = recursive_cover(g, 1.0, [0, 1, 2], rng=random.Random(0))
         assert cov.balls == ()
         assert cov.failure_parts == (frozenset(range(16)),)
+
+    def test_one_search_per_direction_per_working_set(self, monkeypatch):
+        # every working set with two or more sources has one row store for
+        # its estimate, carve and partition: the partition runs here at the
+        # root and below it, and reads the rows the estimate searched
+        g = ring_with_chords("ring-a", 40, 6)
+        searched = Counter()
+        real = est_mod.distance_matrix
+
+        def spy(g_, restrict, sources=None, direction=OUT):
+            searched[frozenset(restrict), direction] += 1
+            return real(g_, restrict, sources=sources, direction=direction)
+
+        parts = []
+        real_cluster = cover_mod.cluster
+
+        def cluster_spy(g_, verts, *args, **kwargs):
+            parts.append(len(verts))
+            return real_cluster(g_, verts, *args, **kwargs)
+
+        monkeypatch.setattr(est_mod, "distance_matrix", spy)
+        monkeypatch.setattr(cover_mod, "cluster", cluster_spy)
+        for seed in range(4):
+            searched.clear()
+            recursive_cover(g, 25.0, [0, 7, 13, 26, 33], rng=random.Random(seed))
+            assert max(searched.values()) == 1
+        assert g.n in parts and any(n < g.n for n in parts)
 
 
 class TestSwrtCover:

@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import rtspan.estimate as est_mod
 from conftest import random_graph
-from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp
+from rtspan.estimate import _RowStore, estimate_ball_fractions
+from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp, vertex_ids
 from rtspan.partition import cluster
 
 
@@ -171,3 +174,94 @@ class TestCluster:
         p = cluster(g, None, [3, 17, 8, 11], 4.0, 4, rng=random.Random(5))
         order = [c.center for c in p.clusters]
         assert order == sorted(order)
+
+    def test_direction_validated(self):
+        g = Graph(3, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="direction"):
+            cluster(g, None, [0], 1.0, 2, direction="sideways", rng=random.Random(0))
+
+
+def partition_view(p):
+    return [(c.center, c.radius, c.members, c.reach) for c in p.clusters], p.residual
+
+
+class TestRowStore:
+    """cluster reads its center rows from a row store over the working set;
+    handed one, it searches only the center rows the store lacks."""
+
+    @staticmethod
+    def spy_searches(monkeypatch):
+        calls = []
+        real = est_mod.distance_matrix
+
+        def spy(g_, restrict, sources=None, direction=OUT):
+            calls.append((direction, sorted(sources)))
+            return real(g_, restrict, sources=sources, direction=direction)
+
+        monkeypatch.setattr(est_mod, "distance_matrix", spy)
+        return calls
+
+    def test_store_equals_fresh_search(self):
+        # grid weights and grid radii make exact score ties; half of the
+        # graphs are not strongly connected, so rows hold unreachable vertices
+        unreachable = 0
+        for i in range(12):
+            rng = random.Random(f"store:{i}")
+            g = random_graph(f"store:{i}", 24, 40, strongly_connected=i % 2 == 0)
+            keep = None if i % 3 == 0 else sorted(rng.sample(range(24), rng.randint(8, 23)))
+            verts = vertex_ids(g, keep)
+            store = _RowStore(g, verts)
+            estimate_ball_fractions(g, keep, 2.0, 0.125, rng, _rows=store)  # holds every row
+            centers = sorted(rng.sample(verts, rng.randint(1, 9)))
+            radii = {u: rng.randint(0, 64) / 16.0 for u in centers}
+            for direction in (OUT, IN):
+                fresh = cluster(g, keep, centers, 2.0, 4, direction, FixedRadii(radii))
+                shared = cluster(g, keep, centers, 2.0, 4, direction, FixedRadii(radii), _rows=store)
+                assert partition_view(shared) == partition_view(fresh)
+                want, want_res = brute_force_partition(g, keep, centers, radii, direction)
+                assert {c.center: set(c.members) for c in shared.clusters} == want
+                assert set(shared.residual) == want_res
+            unreachable += bool(np.isinf(store.rows[OUT]).any())
+        assert unreachable >= 3
+
+    def test_sampled_store_fetches_missing_center_rows(self, monkeypatch):
+        # eps 0.9 draws t = 23 < 40 samples, so the store holds only the
+        # distinct sample rows; cluster searches the rest of its centers,
+        # one batched call per direction, and nothing when asked again
+        g = random_graph("store-sampled", 40, 170)
+        store = _RowStore(g, vertex_ids(g, None))
+        est = estimate_ball_fractions(g, None, 2.0, 0.9, random.Random(4), _rows=store)
+        assert est.t == 23
+        held = set(est.sample.tolist())
+        centers = list(range(0, 40, 3))
+        calls = self.spy_searches(monkeypatch)
+        for direction in (OUT, IN):
+            want = cluster(g, None, centers, 2.0, 4, direction, random.Random(5))
+            calls.clear()
+            got = cluster(g, None, centers, 2.0, 4, direction, random.Random(5), _rows=store)
+            assert calls == [(direction, sorted(set(centers) - held))]
+            assert partition_view(got) == partition_view(want)
+            calls.clear()
+            cluster(g, None, centers, 2.0, 4, direction, random.Random(6), _rows=store)
+            assert calls == []
+
+    def test_full_store_searches_nothing(self, monkeypatch):
+        g = random_graph("store-full", 30, 100, strongly_connected=False)
+        store = _RowStore(g, vertex_ids(g, None))
+        estimate_ball_fractions(g, None, 2.0, 0.125, random.Random(0), _rows=store)
+        calls = self.spy_searches(monkeypatch)
+        for direction in (OUT, IN):
+            cluster(g, None, range(30), 2.0, 4, direction, random.Random(1), _rows=store)
+        assert calls == []
+
+    def test_without_store_one_search_per_call(self, monkeypatch):
+        g = random_graph("store-none", 30, 100)
+        calls = self.spy_searches(monkeypatch)
+        cluster(g, None, [4, 2, 9, 2], 2.0, 4, IN, random.Random(1))
+        assert calls == [(IN, [2, 4, 9])]
+
+    def test_store_of_another_working_set_rejected(self):
+        g = random_graph("store-foreign", 20, 60)
+        store = _RowStore(g, vertex_ids(g, range(10)))
+        with pytest.raises(ValueError, match="another working set"):
+            cluster(g, None, [0], 2.0, 4, rng=random.Random(0), _rows=store)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_graph
 from rtspan.cover import Cover, CoverParams, recursive_cover
-from rtspan.graph import OUT, Graph, round_trip_ball
+from rtspan.graph import OUT, BallResult, Graph, round_trip_ball
 from rtspan.verify import (
     ProbabilityReport,
     check_cover,
@@ -46,6 +46,13 @@ class TestDistanceOracles:
         g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
         _, d = oracle_one_way_all_pairs(g, edge_indexes=[2])
         assert d[0, 2] == 5.0 and np.isinf(d[0, 1])
+
+    @pytest.mark.parametrize("bad", [-1, 3, 10])
+    def test_edge_index_outside_range_rejected(self, bad):
+        # -1 would otherwise index the last edge
+        g = Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
+        with pytest.raises(ValueError, match="edge index"):
+            oracle_one_way_all_pairs(g, edge_indexes=[0, bad])
 
     def test_round_trip_symmetry_and_triangle(self):
         # dyadic weights keep the sums exact, so no tolerance is needed
@@ -101,6 +108,15 @@ class TestCheckStretch:
         g = Graph(2, [])
         with pytest.raises(ValueError, match="not a vertex"):
             check_stretch(g, [], [4], 1.0)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_edge_index_outside_range_rejected(self, bad):
+        # the subgraph lacks edge 3 (2 -> 1), so the pair (0, 2) has no
+        # round trip in it; -1 must not stand in for edge 3
+        g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)])
+        assert not check_stretch(g, [0, 1, 2, 2], [0], 1.0).passed
+        with pytest.raises(ValueError, match="edge index"):
+            check_stretch(g, [0, 1, 2, bad], [0], 1.0)
 
     def test_nan_bound_rejected(self):
         # every ratio > nan is False, so a NaN bound would pass any subgraph
@@ -176,6 +192,17 @@ class TestCheckCover:
         with pytest.raises(ValueError, match="radius"):
             check_cover(g, cov, [0])
         assert check_cover(g, cov, [0], radius=8.0).passed
+
+    @pytest.mark.parametrize("bad_edge", [-1, 2])
+    def test_tree_edge_outside_range_rejected(self, bad_edge):
+        # a certifying tree that names edge -1 is rejected, not read as
+        # the last edge
+        g = self.two_cycle()
+        ball = round_trip_ball(g, None, 0, 8.0)
+        bad = BallResult(ball.center, ball.radius, ball.members, frozenset({0, bad_edge}))
+        cov = Cover((bad,), (), r=1.0, params=CoverParams(), R=8.0)
+        with pytest.raises(ValueError, match="edge index"):
+            check_cover(g, cov, [0])
 
     def test_source_validation(self):
         g = self.two_cycle()
