@@ -249,13 +249,11 @@ def cmd_verify(args) -> int:
     h = _load_graph(args.spanner)
     if h.n != g.n:
         raise ValueError("spanner file must keep the input vertex count")
-    if args.k <= 1:
-        raise ValueError("k must be an integer greater than 1")
+    bound = stretch_bound(args.k, g.n, args.c)  # checks k and c, also under --bound
     edge_ids = _match_edge_indexes(g, h)
     sources = _resolve_vertices(args.sources, g, args.seed, "sources")
-    bound = args.bound
-    if bound is None:
-        bound = stretch_bound(args.k, g.n, args.c)
+    if args.bound is not None:
+        bound = args.bound
     rep = check_stretch(g, edge_ids, sources, bound)
     stats = {
         "schema": SCHEMA, "command": "verify", "seed": args.seed,

@@ -84,9 +84,11 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
     with the guaranteed probability, every source stays together with its
     near vertices in some ball.  sources must be vertices of g.
 
-    The estimate, carve and partition of a working set with two or more
-    sources read one distance row store.  _root_rows is internal: the store
-    for the whole vertex set, so that runs over one graph share it.
+    The estimate, carves and partition of a working set read one distance
+    row store over it; a working set with one source only carves, from its
+    center's two rows.  _root_rows is internal: the store for the whole
+    vertex set, so that runs over one graph share it, and with it the
+    carve memo it holds for every working set.
     """
     if params is None:
         params = CoverParams()
@@ -99,6 +101,9 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
     if not S0 <= base:
         raise ValueError("sources must be vertices of g")
     c = params.c
+    if _root_rows is None:
+        _root_rows = _RowStore(g, list(range(g.n)))
+    memo = _root_rows.balls  # carves by (working set, center), across runs
 
     balls = []
     failures = []
@@ -111,13 +116,11 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
         deepest = max(deepest, depth)
         if not verts or not S:
             continue
-        rows = _root_rows if verts is base else None
+        rows = _root_rows if verts is base else _RowStore(g, sorted(verts))
         if len(S) == 1:
             (u,) = S
-            balls.append(round_trip_ball(g, verts, u, r, _memo=rows and rows.balls))
+            balls.append(round_trip_ball(g, verts, u, r, _rows=rows, _memo=memo))
             continue
-        if rows is None:
-            rows = _RowStore(g, sorted(verts))
         est = estimate_ball_fractions(g, verts, c * r, params.epsilon, rng, _rows=rows)
         # f >= 3/4 exactly when 4 * hits >= 3 * t, hits and t being integers;
         # est.centers is the working set, ascending
@@ -128,7 +131,7 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
         if core.any():
             u = int(ids[np.argmax(core)])  # the smallest core vertex
             ru = rng.uniform(2 * c * r, 2 * (c + 1) * r)
-            b = round_trip_ball(g, verts, u, ru, _memo=rows.balls)
+            b = round_trip_ball(g, verts, u, ru, _rows=rows, _memo=memo)
             balls.append(b)
             stack.append((verts - b.members, S - b.members, depth + 1))
             continue
@@ -165,12 +168,13 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     change without disturbing earlier trials.
 
     Every run starts from the full vertex set, so the runs share one
-    root store over it: each root row is searched once per cover, each
-    carve from the full set reuses the two searches from its center and,
-    for an equal member count, the ball itself, and an exact root
-    estimate (t >= n, which draws nothing) is made once per cover.  A
-    sampled estimate asks only for the rows of its distinct samples; later
-    working sets are subgraphs with their own distances, and stores.
+    root store over it: each root row is searched once per cover, and an
+    exact root estimate (t >= n, which draws nothing) is made once per
+    cover.  A sampled estimate asks only for the rows of its distinct
+    samples; later working sets are subgraphs with their own distances,
+    and stores.  The root store also holds the carve memo: a carve from a
+    working set and center that an earlier run carved from reads no row,
+    and for an equal member count reuses the ball itself.
 
     _root_rows is internal: a root store over all of g that an earlier
     cover of the same graph filled, in place of a fresh one.

@@ -3,12 +3,11 @@
 For each vertex u of the working set the estimator reports which
 fraction of that set lies within one-way distance r of u, outward and
 inward, from t = ceil(5 * eps^-2 * ln n) uniform samples drawn with
-replacement, as in Pachocki, Roditty, Sidford, Tov and Vassilevska
-Williams (SODA 2018).  The samples are the draws t calls of
-rng.randrange(n) would return, taken in bulk with the same effect on rng.
-When t >= n the sample would outnumber the working set, so every vertex
-is taken once instead (t = n): the fractions are exact, nothing is drawn
-from rng, and a shared row store keeps the estimate for later ones.
+replacement, one rng.randrange(n) call each, as in Pachocki, Roditty,
+Sidford, Tov and Vassilevska Williams (SODA 2018).  When t >= n the
+sample would outnumber the working set, so every vertex is taken once
+instead (t = n): the fractions are exact, nothing is drawn from rng, and
+a shared row store keeps the estimate for later ones.
 
 Distances always come from the sample side: one batched Dijkstra per
 direction from the distinct samples, at most min(t, n) rows, however
@@ -85,9 +84,9 @@ class _RowStore:
     rather than laid out over the whole working set, so a store holds the
     rows its callers asked for, not n^2 distances.
 
-    exact keeps the exact estimates (t >= n) by (r, epsilon); balls is the
-    memo round_trip_ball keeps for carves from this working set: per
-    center, its two searches and the balls found so far."""
+    exact keeps the exact estimates (t >= n) by (r, epsilon).  balls is the
+    carve memo of round_trip_ball; the cover keeps it on the root store
+    only, keyed by (working set, center), so that it spans trials."""
 
     def __init__(self, g: Graph, verts):
         self.g = g
@@ -133,29 +132,6 @@ class _RowStore:
         return weights[self.pos[direction]] @ cut[1]
 
 
-def _randrange_draws(rng: random.Random, n: int, t: int) -> np.ndarray:
-    """The t >= 1 values [rng.randrange(n) for _ in range(t)] returns, for
-    1 <= n < 2**32, leaving rng in the same state.
-
-    CPython's randrange(n) takes one 32-bit Mersenne Twister word, keeps
-    its top n.bit_length() bits and takes another word while they reach n.
-    getrandbits(32 * j) returns the next j words, the first one least
-    significant, so each round takes one word per draw still needed,
-    keeps the accepted ones in order, and leaves only the shortfall for
-    the next round: no word is taken that randrange would not take.
-    """
-    shift = 32 - n.bit_length()
-    kept = []
-    need = t
-    while need:
-        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
-                              dtype="<u4") >> shift
-        ok = words[words < n]
-        kept.append(ok)
-        need -= len(ok)
-    return np.concatenate(kept)
-
-
 def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
                             rng: random.Random, *,
                             _rows: _RowStore | None = None) -> FractionEstimates:
@@ -182,7 +158,7 @@ def estimate_ball_fractions(g: Graph, restrict, r: float, epsilon: float,
     t = sample_count(n, epsilon)
     key = (float(r), float(epsilon))
     if t < n:
-        drawn = _randrange_draws(rng, n, t)
+        drawn = np.array([rng.randrange(n) for _ in range(t)])
         mult = np.bincount(drawn, minlength=n).astype(float)
         cols = np.flatnonzero(mult)  # positions of the distinct samples, ascending
     elif key in _rows.exact:

@@ -1,21 +1,22 @@
-"""Weighted digraph core: representation, edge-list I/O, the one heap
-Dijkstra (sssp: single source, with parent edges) and the round-trip
-balls whose trees it certifies.
+"""Weighted digraph core: representation, edge-list I/O, the one search
+(distance_matrix, scipy's Dijkstra) and the shortest-path trees and
+round-trip balls read off its distance rows.
 
 Vertex ids are dense integers 0..n-1.  Edge weights are strictly positive
 finite floats.  Missing distances are reported as the module-level
 UNREACHABLE marker, never as a numeric sentinel, so they cannot silently
 take part in arithmetic.  A narrow numpy/scipy boundary (distance_matrix)
-serves every bulk distance query, without trees; infinities stay behind
-that boundary.
+serves every distance query; infinities stay behind that boundary.  A
+tree takes no search of its own: each vertex's parent is the tight
+in-edge (d[tail] + w == d[v]) with the least (d[tail], tail, edge index),
+the edge a binary-heap Dijkstra settling vertices in (d, id) order keeps.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -44,20 +45,16 @@ class EdgeListError(ValueError):
 class Graph:
     """Immutable weighted digraph.
 
-    edges is a tuple of (src, dst, weight).  Adjacency lists carry
-    (neighbor, weight, edge_index) triples so that searches can report
-    exactly which edges their trees use.  Instances must not be mutated
-    after construction; every operation in this package treats them as
-    shared read-only values.
+    edges is a tuple of (src, dst, weight); trees name their edges by
+    index into it.  Instances must not be mutated after construction;
+    every operation in this package treats them as shared read-only values.
     """
 
-    __slots__ = ("n", "m", "edges", "out_adj", "in_adj", "_csr")
+    __slots__ = ("n", "m", "edges", "_arrays", "_csr")
 
     def __init__(self, n, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        out_adj = [[] for _ in range(n)]
-        in_adj = [[] for _ in range(n)]
         cleaned = []
         for idx, (u, v, w) in enumerate(edges):
             u = int(u)
@@ -68,38 +65,28 @@ class Graph:
             if not w > 0.0 or math.isinf(w):
                 raise ValueError(f"edge {idx}: weight must be positive and finite")
             cleaned.append((u, v, w))
-            out_adj[u].append((v, w, idx))
-            in_adj[v].append((u, w, idx))
         self.n = n
         self.m = len(cleaned)
         self.edges = tuple(cleaned)
-        self.out_adj = tuple(tuple(a) for a in out_adj)
-        self.in_adj = tuple(tuple(a) for a in in_adj)
-        self._csr = None
+        self._arrays = self._csr = None
 
-    def adjacency(self, direction):
-        if direction == OUT:
-            return self.out_adj
-        if direction == IN:
-            return self.in_adj
-        raise ValueError(f"direction must be OUT or IN, got {direction!r}")
+    def _edge_arrays(self):
+        """(src, dst, weight) of every edge as numpy arrays, cached."""
+        if self._arrays is None:
+            src, dst, w = zip(*self.edges) if self.edges else ((), (), ())
+            self._arrays = (np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                            np.array(w, dtype=np.float64))
+        return self._arrays
 
     def weight_csr(self):
         """Sparse weight matrix, minimum weight per ordered pair, cached."""
         if self._csr is None:
-            best = {}
-            for u, v, w in self.edges:
-                key = (u, v)
-                if key not in best or w < best[key]:
-                    best[key] = w
-            if best:
-                rows = np.fromiter((k[0] for k in best), dtype=np.int64, count=len(best))
-                cols = np.fromiter((k[1] for k in best), dtype=np.int64, count=len(best))
-                data = np.fromiter(best.values(), dtype=np.float64, count=len(best))
-            else:
-                rows = cols = np.zeros(0, dtype=np.int64)
-                data = np.zeros(0, dtype=np.float64)
-            self._csr = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            src, dst, w = self._edge_arrays()
+            order = np.lexsort((w, dst, src))  # each pair's lightest edge first
+            src, dst, w = src[order], dst[order], w[order]
+            first = np.ones(len(w), dtype=bool)
+            first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+            self._csr = csr_matrix((w[first], (src[first], dst[first])), shape=(self.n, self.n))
         return self._csr
 
     def __repr__(self):
@@ -167,11 +154,11 @@ def vertex_ids(g: Graph, restrict):
 
 @dataclass(frozen=True)
 class DistanceVector:
-    """Shortest-path labels from one Dijkstra run.
+    """Shortest-path labels from one source.
 
-    dist[v] is a float or UNREACHABLE.  parent_edge[v] is the index of the
-    edge that last relaxed v (None at the source and off the search), so
-    following parents reconstructs a shortest-path tree.
+    dist[v] is a float or UNREACHABLE.  parent_edge[v] is the index of v's
+    tree edge (None at the source and off the search), so following
+    parents reconstructs a shortest-path tree.
     """
 
     source: int
@@ -183,37 +170,45 @@ class DistanceVector:
         return self.dist[v] is not UNREACHABLE
 
 
-def sssp(g: Graph, restrict, source: int, direction: str = OUT) -> DistanceVector:
-    """Single-source binary-heap Dijkstra inside the induced subgraph G(restrict).
+def _parent_edges(g: Graph, verts, row, direction: str) -> dict:
+    """The shortest-path tree of one distance row over G(verts), as
+    {v: edge index} for every reached v but the source.
 
-    direction OUT yields d(source, v); IN yields d(v, source) by walking
-    the reverse adjacency.  Vertices outside restrict keep UNREACHABLE.
+    row holds d(source, v) for direction OUT and d(v, source) for IN,
+    aligned with verts.  v's parent is the tight in-edge (x -> v outward,
+    v -> x inward), d[x] + w == d[v], with the least (d[x], x, edge index).
+    Weights are positive, so d falls strictly along parents.
     """
-    member = [False] * g.n
-    for v in vertex_ids(g, restrict):
-        member[v] = True
-    if not (0 <= source < g.n) or not member[source]:
-        raise ValueError(f"source {source} not inside restrict")
-    adj = g.adjacency(direction)
+    src, dst, w = g._edge_arrays()
+    tail, head = (src, dst) if direction == OUT else (dst, src)
+    d = np.full(g.n, np.inf)
+    d[verts] = row
+    dt = d[tail]
+    # outside G(verts) or unreached, d is inf, and no edge from there is tight
+    e = np.flatnonzero((dt + w == d[head]) & (dt < np.inf))
+    e = e[np.lexsort((e, tail[e], dt[e], head[e]))]  # by head, then (d[x], x, e)
+    heads = head[e]
+    first = np.ones(len(e), dtype=bool)
+    first[1:] = heads[1:] != heads[:-1]
+    return dict(zip(heads[first].tolist(), e[first].tolist()))
+
+
+def sssp(g: Graph, restrict, source: int, direction: str = OUT) -> DistanceVector:
+    """Single-source shortest paths inside the induced subgraph G(restrict):
+    one distance_matrix row and the tree read off it.
+
+    direction OUT yields d(source, v); IN yields d(v, source).  Vertices
+    outside restrict keep UNREACHABLE.
+    """
+    verts = vertex_ids(g, restrict)
+    row = distance_matrix(g, verts, [source], direction)[0]
     dist = [UNREACHABLE] * g.n
+    for v, d in zip(verts, row.tolist()):
+        if d < math.inf:
+            dist[v] = d
     parent = [None] * g.n
-    done = [False] * g.n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w, eidx in adj[u]:
-            if done[v] or not member[v]:
-                continue
-            nd = d + w
-            cur = dist[v]
-            if cur is UNREACHABLE or nd < cur:
-                dist[v] = nd
-                parent[v] = eidx
-                heappush(heap, (nd, v))
+    for v, e in _parent_edges(g, verts, row, direction).items():
+        parent[v] = e
     return DistanceVector(source, direction, tuple(dist), tuple(parent))
 
 
@@ -233,44 +228,56 @@ class BallResult:
 
 
 def round_trip_ball(g: Graph, restrict, center: int, radius: float, *,
-                    _memo: dict | None = None) -> BallResult:
+                    _rows=None, _memo: dict | None = None) -> BallResult:
     """Members are the v in restrict with d(center,v)+d(v,center) <= radius,
     both legs measured inside G(restrict).
 
     The members are a prefix of the vertices in round-trip distance order,
-    so a ball is fixed by its center and member count.  _memo is internal:
-    a dict shared by calls over one g and restrict that keeps, per center,
-    the two searches and the (members, tree edges) of each member count
-    found so far, so repeated carves from one working set search once.
+    so a ball is fixed by its center and member count.  The order and the
+    two trees come from the center's OUT and IN rows.  _rows and _memo are
+    internal: a row store over g and restrict that gives those rows, and a
+    dict shared by calls over one g, keyed by (restrict, center), that
+    keeps the order, the trees and the (members, tree edges) of each member
+    count found so far, so that a repeated carve reads no row again.
     """
     if not 0 <= radius < math.inf:
         raise ValueError("radius must be non-negative and finite")
-    known = None if _memo is None else _memo.get(center)
+    known = None if _memo is None else _memo.get((restrict, center))
     if known is None:
-        fwd = sssp(g, restrict, center, OUT)
-        bwd = sssp(g, restrict, center, IN)
-        ranked = sorted((fwd.dist[v] + bwd.dist[v], v) for v in vertex_ids(g, restrict)
-                        if fwd.reached(v) and bwd.reached(v))
-        known = (fwd, bwd, [d for d, _ in ranked], [v for _, v in ranked], {})
+        verts = vertex_ids(g, restrict)
+        i = bisect_left(verts, center)
+        if i == len(verts) or verts[i] != center:
+            raise ValueError(f"center {center} not inside restrict")
+        if _rows is None:
+            fwd, bwd = (distance_matrix(g, verts, [center], d)[0] for d in (OUT, IN))
+        elif _rows.g is not g or _rows.verts != verts:
+            raise ValueError("row store belongs to another working set")
+        else:
+            fwd, bwd = (_rows.rows_at(np.array([i]), d)[0] for d in (OUT, IN))
+        rt = fwd + bwd
+        # stable, so equal round trips stay in vertex order; inf sorts last
+        ranked = np.argsort(rt, kind="stable")[:np.count_nonzero(rt < np.inf)]
+        known = (rt[ranked].tolist(), np.asarray(verts)[ranked].tolist(),
+                 _parent_edges(g, verts, fwd, OUT), _parent_edges(g, verts, bwd, IN), {})
         if _memo is not None:
-            _memo[center] = known
-    fwd, bwd, keys, order, balls = known
+            _memo[restrict, center] = known
+    keys, order, out_tree, in_tree, balls = known
     count = bisect_right(keys, radius)
     ball = balls.get(count)
     if ball is None:
         members = order[:count]
         tree = set()
-        for dv in (fwd, bwd):
+        # a parent edge leads back to its src outward, its dst inward
+        for parent, back in ((out_tree, 0), (in_tree, 1)):
             walked = set()
             for v in members:
-                # climb parent pointers until we hit the center or a chain
+                # climb parent edges until we hit the center or a chain
                 # already collected
                 while v != center and v not in walked:
                     walked.add(v)
-                    e = dv.parent_edge[v]
+                    e = parent[v]
                     tree.add(e)
-                    src, dst, _ = g.edges[e]
-                    v = src if dv.direction == OUT else dst
+                    v = g.edges[e][back]
         ball = balls[count] = (frozenset(members), frozenset(tree))
     return BallResult(center, float(radius), *ball)
 

@@ -269,7 +269,12 @@ def partition_probability_trial(g: Graph, pair, centers, r, s, direction, trials
 
 
 def stretch_bound(k: int, n: int, c: int = 4) -> float:
-    """Round-trip stretch guarantee of the construction at these settings."""
+    """Round-trip stretch guarantee of the construction at these settings:
+    k an integer > 1 and c an integer >= 1, as the constructions take them."""
+    if not isinstance(k, int) or isinstance(k, bool) or k <= 1:
+        raise ValueError("k must be an integer greater than 1")
+    if not isinstance(c, int) or c < 1:
+        raise ValueError("c must be an integer >= 1")
     if n < 1:
         raise ValueError("n must be positive")
     return 2.0 * (2.0 * (c + 1) * 6.0 * k * math.log(max(n, 1)) + 1.0)

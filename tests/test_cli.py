@@ -253,6 +253,14 @@ class TestVerify:
         assert json.loads(out)["stretch"]["bound"] == 0.5
 
 
+    @pytest.mark.parametrize("flags", [["--c", "-3"], ["--c", "0"], ["--c", "0", "--bound", "5"],
+                                       ["--k", "1", "--bound", "5"]])
+    def test_bad_k_or_c_exits_2(self, graph_file, capsys, flags):
+        # --c -3 used to report a negative bound and exit 1, and --c 0 passed
+        code, out, err = run(capsys, "verify", "--input", str(graph_file),
+                             "--spanner", str(graph_file), "--sources", "2", *flags)
+        assert code == 2 and out == "" and ("c must" in err or "k must" in err)
+
     def test_nan_bound_exits_2(self, graph_file, capsys):
         code, out, err = run(capsys, "verify", "--input", str(graph_file),
                              "--spanner", str(graph_file), "--sources", "2",

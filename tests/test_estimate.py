@@ -7,8 +7,7 @@ import pytest
 import rtspan.estimate as est_mod
 from conftest import random_graph
 from rtspan.cli import generate_graph
-from rtspan.estimate import (FractionEstimates, _randrange_draws, _RowStore, estimate_ball_fractions,
-                             sample_count)
+from rtspan.estimate import FractionEstimates, _RowStore, estimate_ball_fractions, sample_count
 from rtspan.graph import IN, OUT, UNREACHABLE, Graph, distance_matrix, sssp, vertex_ids
 
 
@@ -31,18 +30,6 @@ class TestSampleCount:
 
 
 class TestRandrangeDraws:
-    # the estimator takes its samples' random words in bulk; they must give
-    # the draws of one rng.randrange(n) call per sample and leave rng in the
-    # same state, or every seeded output downstream would change
-    @pytest.mark.parametrize("n", [1, 2, 3, 64, 120, 128, 129, 200, 256, 65536, 2 ** 31 + 5])
-    def test_bit_identical_to_randrange(self, n):
-        for t in (1, 7, 1532):
-            for seed in range(4):
-                want_rng, got_rng = random.Random(seed), random.Random(seed)
-                want = [want_rng.randrange(n) for _ in range(t)]
-                assert _randrange_draws(got_rng, n, t).tolist() == want
-                assert got_rng.getstate() == want_rng.getstate()
-
     def test_estimate_samples_are_randrange_draws(self):
         # 23 vertices and eps 0.9 draw t = 20 samples, fewer than the set
         g = random_graph("est-draws", 50, 180)
@@ -55,25 +42,19 @@ class TestRandrangeDraws:
 
 
 class FixedSequence:
-    """rng stub whose draws walk a preset index list over a working set of
-    n vertices.  The estimator draws 32-bit words from getrandbits, first
-    word least significant, and keeps the top n.bit_length() bits of each,
-    as randrange(n) does; the stub puts each preset index in those bits."""
+    """rng stub whose randrange(n) draws walk a preset index list over a
+    working set of n vertices."""
 
     def __init__(self, seq, n):
         self.seq = list(seq)
         self.n = n
         self.pos = 0
 
-    def getrandbits(self, k):
-        assert k % 32 == 0
-        out = 0
-        for i in range(k // 32):
-            v = self.seq[self.pos % len(self.seq)]
-            self.pos += 1
-            assert 0 <= v < self.n
-            out |= v << (32 - self.n.bit_length()) << (32 * i)
-        return out
+    def randrange(self, n):
+        assert n == self.n
+        v = self.seq[self.pos % len(self.seq)]
+        self.pos += 1
+        return v
 
 
 def assert_same_estimates(a, b):

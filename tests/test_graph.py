@@ -1,5 +1,7 @@
+import heapq
 import math
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -18,6 +20,75 @@ from rtspan.graph import (
     write_edge_list,
 )
 from rtspan.verify import oracle_one_way_all_pairs
+
+
+def heap_sssp(g, restrict, source, direction):
+    """(dist, parent_edge) of a binary-heap Dijkstra over G(restrict) that
+    settles vertices in (d, id) order, scans each vertex's edges by index
+    and keeps the first strict improvement: the reference for sssp's
+    distances and, among tied shortest paths, its tree edges."""
+    adj = [[] for _ in range(g.n)]
+    for idx, (u, v, w) in enumerate(g.edges):
+        if direction == OUT:
+            adj[u].append((v, w, idx))
+        else:
+            adj[v].append((u, w, idx))
+    member = [False] * g.n
+    for v in range(g.n) if restrict is None else restrict:
+        member[v] = True
+    dist = [UNREACHABLE] * g.n
+    parent = [None] * g.n
+    done = [False] * g.n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w, eidx in adj[u]:
+            if done[v] or not member[v]:
+                continue
+            nd = d + w
+            cur = dist[v]
+            if cur is UNREACHABLE or nd < cur:
+                dist[v] = nd
+                parent[v] = eidx
+                heapq.heappush(heap, (nd, v))
+    return tuple(dist), tuple(parent)
+
+
+def heap_ball(g, restrict, center, radius):
+    """(members, tree edges) of a round-trip ball built on heap_sssp: the
+    v with the smallest (round trip, v) up to radius, and the union of the
+    two heap trees' parent chains from them back to center."""
+    verts = range(g.n) if restrict is None else sorted(set(restrict))
+    fwd, fpar = heap_sssp(g, restrict, center, OUT)
+    bwd, bpar = heap_sssp(g, restrict, center, IN)
+    ranked = sorted((fwd[v] + bwd[v], v) for v in verts
+                    if fwd[v] is not UNREACHABLE and bwd[v] is not UNREACHABLE)
+    members = [v for _, v in ranked[:bisect_right([d for d, _ in ranked], radius)]]
+    tree = set()
+    for parent, back in ((fpar, 0), (bpar, 1)):
+        for v in members:
+            while v != center:
+                tree.add(parent[v])
+                v = g.edges[parent[v]][back]
+    return frozenset(members), frozenset(tree)
+
+
+def tie_heavy_graph(seed):
+    """Small random digraph whose weights come from one small pool (the
+    1/16 grid, small integers, or 0.1/0.2/0.3/0.7, whose sums round), with
+    parallel edges and self-loops, so that shortest paths tie often."""
+    rng = random.Random(f"ties:{seed}")
+    pool = ([1.0 + i / 16 for i in range(0, 17, 4)], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.7])[seed % 3]
+    n = rng.randrange(4, 26)
+    edges = [(rng.randrange(n), rng.randrange(n), rng.choice(pool)) for _ in range(rng.randrange(n, 4 * n))]
+    edges += [(u, v, rng.choice(pool)) for u, v, _ in rng.sample(edges, len(edges) // 5)]  # parallel
+    edges += [(v, v, rng.choice(pool)) for v in rng.sample(range(n), 2)]  # self-loops
+    rng.shuffle(edges)
+    return Graph(n, edges), rng
 
 
 class TestParse:
@@ -82,12 +153,6 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             Graph(2, [(-1, 0, 1.0)])
 
-    def test_adjacency_mirrors_edges(self):
-        g = random_graph("adj", 12, 40)
-        fwd = {(u, v, w, i) for u in range(g.n) for v, w, i in g.adjacency(OUT)[u]}
-        bwd = {(u, v, w, i) for v in range(g.n) for u, w, i in g.adjacency(IN)[v]}
-        assert fwd == bwd == {(u, v, w, i) for i, (u, v, w) in enumerate(g.edges)}
-
 
 class TestSssp:
     def test_forced_path_out(self):
@@ -128,6 +193,18 @@ class TestSssp:
                     total += w
                     x = src if direction == OUT else dst
                 assert total == dv.dist[v]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_heap_reference_on_ties(self, seed):
+        # distances and parent edges both, on the whole graph and inside
+        # restrict subsets, in both directions
+        g, rng = tie_heavy_graph(seed)
+        for _ in range(4):
+            source = rng.randrange(g.n)
+            keep = None if rng.random() < 0.3 else [source, *rng.sample(range(g.n), g.n // 2)]
+            for direction in (OUT, IN):
+                dv = sssp(g, keep, source, direction)
+                assert (dv.dist, dv.parent_edge) == heap_sssp(g, keep, source, direction)
 
     def test_matches_oracle_exactly(self):
         for i in range(10):
@@ -189,6 +266,16 @@ class TestBalls:
                 vi = ids.index(v)
                 assert dist[ci][vi] + dist[vi][ci] <= b.radius
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_heap_reference_on_ties(self, seed):
+        g, rng = tie_heavy_graph(seed)
+        for _ in range(4):
+            center = rng.randrange(g.n)
+            keep = None if rng.random() < 0.3 else [center, *rng.sample(range(g.n), g.n // 2)]
+            radius = rng.choice([0.0, 0.5, 1.0, 2.5, 4.0, 8.0, 30.0])
+            b = round_trip_ball(g, keep, center, radius)
+            assert (b.members, b.rt_tree_edges) == heap_ball(g, keep, center, radius)
+
     def test_tree_edges_stay_inside_restrict(self):
         g = random_graph("inside", 30, 140)
         keep = list(range(0, 30, 2))
@@ -199,15 +286,12 @@ class TestBalls:
 
 
 class TestSubgraphAndMatrix:
-    def test_distance_matrix_matches_sssp(self):
+    def test_distance_matrix_matches_oracle(self):
         g = random_graph("dm", 22, 80)
         keep = sorted(random.Random(1).sample(range(22), 15))
+        ids, dist = oracle_one_way_all_pairs(g, restrict=keep)
+        assert ids == keep
         for direction in (OUT, IN):
             mat = distance_matrix(g, restrict=keep, sources=keep[:4], direction=direction)
-            for i, src in enumerate(keep[:4]):
-                dv = sssp(g, keep, src, direction)
-                for j, v in enumerate(keep):
-                    if dv.dist[v] is UNREACHABLE:
-                        assert np.isinf(mat[i, j])
-                    else:
-                        assert mat[i, j] == dv.dist[v]
+            want = dist[:4] if direction == OUT else dist[:, :4].T
+            assert np.array_equal(mat, want)

@@ -25,12 +25,17 @@ def minimax(g, src, direction):
     best = [math.inf] * g.n
     best[src] = 0.0
     heap = [(0.0, src)]
-    adj = g.adjacency(direction)
+    adj = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        if direction == OUT:
+            adj[u].append((v, w))
+        else:
+            adj[v].append((u, w))
     while heap:
         b, u = heapq.heappop(heap)
         if b > best[u]:
             continue
-        for v, w, _ in adj[u]:
+        for v, w in adj[u]:
             nb = max(b, w)
             if nb < best[v]:
                 best[v] = nb

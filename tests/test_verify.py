@@ -254,3 +254,14 @@ class TestStretchBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             stretch_bound(2, 0)
+
+    @pytest.mark.parametrize("k", [1, 0, -2, 2.0, True])
+    def test_k_must_be_integer_above_one(self, k):
+        with pytest.raises(ValueError, match="k must"):
+            stretch_bound(k, 100)
+
+    @pytest.mark.parametrize("c", [0, -3, 2.5])
+    def test_c_must_be_positive_integer(self, c):
+        # c = 0 gave 223.0 at k = 2, n = 100, and c = -3 a negative bound
+        with pytest.raises(ValueError, match="c must"):
+            stretch_bound(2, 100, c)
