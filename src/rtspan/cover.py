@@ -88,7 +88,8 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
     row store over it; a working set with one source only carves, from its
     center's two rows.  _root_rows is internal: the store for the whole
     vertex set, so that runs over one graph share it, and with it the
-    carve memo it holds for every working set.
+    carve memo it holds for carves from the whole set and from one-source
+    working sets, the carves that repeat across runs.
     """
     if params is None:
         params = CoverParams()
@@ -116,11 +117,15 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
         deepest = max(deepest, depth)
         if not verts or not S:
             continue
-        rows = _root_rows if verts is base else _RowStore(g, sorted(verts))
+        rows = _root_rows if verts is base else None
         if len(S) == 1:
             (u,) = S
+            if rows is None and (verts, u) not in memo:  # a memo hit reads no row
+                rows = _RowStore(g, sorted(verts))
             balls.append(round_trip_ball(g, verts, u, r, _rows=rows, _memo=memo))
             continue
+        if rows is None:
+            rows = _RowStore(g, sorted(verts))
         est = estimate_ball_fractions(g, verts, c * r, params.epsilon, rng, _rows=rows)
         # f >= 3/4 exactly when 4 * hits >= 3 * t, hits and t being integers;
         # est.centers is the working set, ascending
@@ -131,7 +136,8 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
         if core.any():
             u = int(ids[np.argmax(core)])  # the smallest core vertex
             ru = rng.uniform(2 * c * r, 2 * (c + 1) * r)
-            b = round_trip_ball(g, verts, u, ru, _rows=rows, _memo=memo)
+            # below the root, only one-source carves are memoized
+            b = round_trip_ball(g, verts, u, ru, _rows=rows, _memo=memo if verts is base else None)
             balls.append(b)
             stack.append((verts - b.members, S - b.members, depth + 1))
             continue
@@ -172,9 +178,10 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     exact root estimate (t >= n, which draws nothing) is made once per
     cover.  A sampled estimate asks only for the rows of its distinct
     samples; later working sets are subgraphs with their own distances,
-    and stores.  The root store also holds the carve memo: a carve from a
-    working set and center that an earlier run carved from reads no row,
-    and for an equal member count reuses the ball itself.
+    and stores.  The root store also holds the carve memo: a carve from
+    the whole set, or from a one-source working set, with a center that an
+    earlier run carved from reads no row, and for an equal member count
+    reuses the ball itself.
 
     _root_rows is internal: a root store over all of g that an earlier
     cover of the same graph filled, in place of a fresh one.

@@ -86,7 +86,8 @@ class _RowStore:
 
     exact keeps the exact estimates (t >= n) by (r, epsilon).  balls is the
     carve memo of round_trip_ball; the cover keeps it on the root store
-    only, keyed by (working set, center), so that it spans trials."""
+    only, keyed by (working set, center), for the carves from the whole
+    set and from one-source working sets, so that it spans trials."""
 
     def __init__(self, g: Graph, verts):
         self.g = g

@@ -7,15 +7,15 @@ finite floats.  Missing distances are reported as the module-level
 UNREACHABLE marker, never as a numeric sentinel, so they cannot silently
 take part in arithmetic.  A narrow numpy/scipy boundary (distance_matrix)
 serves every distance query; infinities stay behind that boundary.  A
-tree takes no search of its own: each vertex's parent is the tight
-in-edge (d[tail] + w == d[v]) with the least (d[tail], tail, edge index),
-the edge a binary-heap Dijkstra settling vertices in (d, id) order keeps.
+tree takes no search of its own: each vertex's parent is the edge a
+binary-heap Dijkstra keyed by (d, id) keeps, the tight in-edge
+(d[tail] + w == d[v]) whose tail it settles first, least index first.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,14 +170,40 @@ class DistanceVector:
         return self.dist[v] is not UNREACHABLE
 
 
+def _settle_rank(d, tail, head, level):
+    """Each vertex's place in the order a binary-heap Dijkstra keyed by
+    (d, id) settles the vertices, unreached ones last, given the tight
+    edges tail -> head and, in level, those with d[tail] == d[head].
+
+    The order is (d, id), but a head that only level edges reach enters
+    the heap, at its tail's d, when the first of those tails is settled.
+    """
+    late = set(head[level].tolist()) - set(head[~level].tolist())
+    succ = {}
+    for x, y in zip(tail[level].tolist(), head[level].tolist()):
+        succ.setdefault(x, []).append(y)
+    dl = d.tolist()
+    queue = sorted((dl[v], v) for v in np.flatnonzero(d < np.inf).tolist() if v not in late)
+    rank = np.full(len(dl), len(dl))
+    for i, (dx, x) in enumerate(queue):  # grows past i as late heads are met
+        rank[x] = i
+        for y in succ.get(x, ()):
+            if y in late:
+                late.discard(y)
+                insort(queue, (dx, y), lo=i + 1)
+    return rank
+
+
 def _parent_edges(g: Graph, verts, row, direction: str) -> dict:
     """The shortest-path tree of one distance row over G(verts), as
     {v: edge index} for every reached v but the source.
 
     row holds d(source, v) for direction OUT and d(v, source) for IN,
     aligned with verts.  v's parent is the tight in-edge (x -> v outward,
-    v -> x inward), d[x] + w == d[v], with the least (d[x], x, edge index).
-    Weights are positive, so d falls strictly along parents.
+    v -> x inward), d[x] + w == d[v], with the least (settling rank of x,
+    edge index) among the x settled before v: the heap's first tight
+    relaxation of v.  The rank is (d[x], x) unless some tight edge adds
+    nothing in float64 (w below half an ulp of d[x]).
     """
     src, dst, w = g._edge_arrays()
     tail, head = (src, dst) if direction == OUT else (dst, src)
@@ -186,8 +212,16 @@ def _parent_edges(g: Graph, verts, row, direction: str) -> dict:
     dt = d[tail]
     # outside G(verts) or unreached, d is inf, and no edge from there is tight
     e = np.flatnonzero((dt + w == d[head]) & (dt < np.inf))
-    e = e[np.lexsort((e, tail[e], dt[e], head[e]))]  # by head, then (d[x], x, e)
-    heads = head[e]
+    tail, head, dt = tail[e], head[e], dt[e]
+    level = dt == d[head]
+    if level.any():
+        rank = _settle_rank(d, tail, head, level)
+        keep = rank[tail] < rank[head]  # drops self-loops and tails settled later
+        e, tail, head = e[keep], tail[keep], head[keep]
+        order = np.lexsort((e, rank[tail], head))
+    else:
+        order = np.lexsort((e, tail, dt, head))  # by head, then (d[x], x, e)
+    e, heads = e[order], head[order]
     first = np.ones(len(e), dtype=bool)
     first[1:] = heads[1:] != heads[:-1]
     return dict(zip(heads[first].tolist(), e[first].tolist()))
@@ -204,8 +238,7 @@ def sssp(g: Graph, restrict, source: int, direction: str = OUT) -> DistanceVecto
     row = distance_matrix(g, verts, [source], direction)[0]
     dist = [UNREACHABLE] * g.n
     for v, d in zip(verts, row.tolist()):
-        if d < math.inf:
-            dist[v] = d
+        dist[v] = d if d < math.inf else UNREACHABLE
     parent = [None] * g.n
     for v, e in _parent_edges(g, verts, row, direction).items():
         parent[v] = e
@@ -271,8 +304,7 @@ def round_trip_ball(g: Graph, restrict, center: int, radius: float, *,
         for parent, back in ((out_tree, 0), (in_tree, 1)):
             walked = set()
             for v in members:
-                # climb parent edges until we hit the center or a chain
-                # already collected
+                # climb to the center or to a chain already collected
                 while v != center and v not in walked:
                     walked.add(v)
                     e = parent[v]
@@ -297,12 +329,10 @@ def distance_matrix(g: Graph, restrict, sources, direction: str = OUT):
         rows = [pos[s] for s in sources]
     except KeyError as exc:
         raise ValueError(f"source {exc.args[0]} not inside restrict") from None
-    csr = g.weight_csr()
+    sub = g.weight_csr()
     if len(verts) != g.n:
         idx = np.asarray(verts, dtype=np.int64)
-        sub = csr[idx][:, idx]
-    else:
-        sub = csr
+        sub = sub[idx][:, idx]
     if direction == IN:
         sub = sub.T
     elif direction != OUT:

@@ -339,6 +339,28 @@ class TestSwrtCover:
             fresh = round_trip_ball(g, restrict, b.center, b.radius)
             assert (b.members, b.rt_tree_edges) == (fresh.members, fresh.rt_tree_edges)
 
+    def test_memo_keeps_root_and_one_source_carves_only(self, monkeypatch):
+        # multi-source working sets below the root carve once each, so the
+        # memo shared by every trial does not keep them
+        g = ring_with_chords("ring-b", 60, 6)
+        sources = {0, 15, 30, 45}
+        root = frozenset(range(60))
+        carved = []
+        real_ball = cover_mod.round_trip_ball
+
+        def ball_spy(g_, restrict, center, radius, **kw):
+            carved.append((restrict, center))
+            return real_ball(g_, restrict, center, radius, **kw)
+
+        monkeypatch.setattr(cover_mod, "round_trip_ball", ball_spy)
+        rows = est_mod._RowStore(g, list(range(60)))
+        swrt_cover(g, 2, 3.0, sources, rng=random.Random(3), _root_rows=rows)
+        monkeypatch.undo()
+
+        multi = {key for key in carved if key[0] != root and len(key[0] & sources) > 1}
+        assert multi and not multi & rows.balls.keys()
+        assert set(rows.balls) == set(carved) - multi
+
     def test_runs_leave_no_reference_cycles(self):
         # a trial's estimates and balls are freed as soon as it ends, not
         # at the next full collection; the ring makes the partition run

@@ -91,6 +91,25 @@ def tie_heavy_graph(seed):
     return Graph(n, edges), rng
 
 
+# 3 -> 1 adds nothing to d = 1e17 in float64, so 1 and 2 tie with 3 and
+# reach each other at no cost: the heap keeps 3 -> 1 and 1 -> 2, and a tree
+# ordered by (d, tail) alone would make 1 and 2 each other's parents
+LEVEL_EDGES = [(0, 3, 1e17), (3, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)]
+LEVEL_GRAPHS = [Graph(4, LEVEL_EDGES), Graph(4, [*LEVEL_EDGES[:2], (1, 1, 1.0), *LEVEL_EDGES[2:]])]
+
+
+def level_heavy_graph(seed):
+    """Small random digraph with a few weights so large that the others add
+    nothing (or round) in float64, so that many tight edges join vertices
+    at equal distance, with self-loops."""
+    rng = random.Random(f"level:{seed}")
+    pool = ([1e17, 1.0, 3.0, 8.0, 12.0], [2.0 ** 60, 1.0, 64.0, 128.0, 256.0], [1e16, 0.5, 1.0, 2.0])[seed % 3]
+    n = rng.randrange(3, 14)
+    edges = [(rng.randrange(n), rng.randrange(n), rng.choice(pool)) for _ in range(rng.randrange(n, 4 * n))]
+    edges += [(v, v, rng.choice(pool)) for v in rng.sample(range(n), 2)]  # self-loops
+    return Graph(n, edges), rng
+
+
 class TestParse:
     def test_basic(self):
         g = parse_edge_list("3 2\n0 1 1.5\n1 2 2.0\n")
@@ -194,17 +213,26 @@ class TestSssp:
                     x = src if direction == OUT else dst
                 assert total == dv.dist[v]
 
+    @pytest.mark.parametrize("make", [tie_heavy_graph, level_heavy_graph], ids=["ties", "level"])
     @pytest.mark.parametrize("seed", range(60))
-    def test_matches_heap_reference_on_ties(self, seed):
+    def test_matches_heap_reference_on_ties(self, make, seed):
         # distances and parent edges both, on the whole graph and inside
         # restrict subsets, in both directions
-        g, rng = tie_heavy_graph(seed)
+        g, rng = make(seed)
         for _ in range(4):
             source = rng.randrange(g.n)
             keep = None if rng.random() < 0.3 else [source, *rng.sample(range(g.n), g.n // 2)]
             for direction in (OUT, IN):
                 dv = sssp(g, keep, source, direction)
                 assert (dv.dist, dv.parent_edge) == heap_sssp(g, keep, source, direction)
+
+    @pytest.mark.parametrize("g", LEVEL_GRAPHS)
+    def test_level_edges_keep_heap_parents(self, g):
+        for source in range(g.n):
+            for direction in (OUT, IN):
+                dv = sssp(g, None, source, direction)
+                assert (dv.dist, dv.parent_edge) == heap_sssp(g, None, source, direction)
+        assert sssp(g, None, 0, OUT).parent_edge[1:] == (g.edges.index((3, 1, 1.0)), g.edges.index((1, 2, 1.0)), 0)
 
     def test_matches_oracle_exactly(self):
         for i in range(10):
@@ -266,15 +294,23 @@ class TestBalls:
                 vi = ids.index(v)
                 assert dist[ci][vi] + dist[vi][ci] <= b.radius
 
+    @pytest.mark.parametrize("make", [tie_heavy_graph, level_heavy_graph], ids=["ties", "level"])
     @pytest.mark.parametrize("seed", range(30))
-    def test_matches_heap_reference_on_ties(self, seed):
-        g, rng = tie_heavy_graph(seed)
+    def test_matches_heap_reference_on_ties(self, make, seed):
+        g, rng = make(seed)
+        top = max(w for _, _, w in g.edges)
         for _ in range(4):
             center = rng.randrange(g.n)
             keep = None if rng.random() < 0.3 else [center, *rng.sample(range(g.n), g.n // 2)]
-            radius = rng.choice([0.0, 0.5, 1.0, 2.5, 4.0, 8.0, 30.0])
+            radius = rng.choice([0.0, 0.25, 0.5, 1.25, 2.0, 4.0, 15.0]) * top
             b = round_trip_ball(g, keep, center, radius)
             assert (b.members, b.rt_tree_edges) == heap_ball(g, keep, center, radius)
+
+    @pytest.mark.parametrize("g", LEVEL_GRAPHS)
+    def test_level_edges_keep_ball_tree(self, g):
+        for radius in (0.0, 2e17, 3e17):
+            b = round_trip_ball(g, None, 0, radius)
+            assert (b.members, b.rt_tree_edges) == heap_ball(g, None, 0, radius)
 
     def test_tree_edges_stay_inside_restrict(self):
         g = random_graph("inside", 30, 140)
