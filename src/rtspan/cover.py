@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimate import _RowStore, estimate_ball_fractions
+from .estimate import _RowStore, estimate_ball_fractions, sample_count
 from .graph import IN, OUT, Graph, round_trip_ball
 from .partition import cluster
 
@@ -74,6 +74,11 @@ def _ceil_root(s: int, k: int) -> int:
     while a ** k < s:
         a += 1
     return a
+
+
+def _carve_radius(c: int, r: float, rng: random.Random) -> float:
+    """The radius of a carve after an estimate: uniform in [2cr, 2(c+1)r]."""
+    return rng.uniform(2 * c * r, 2 * (c + 1) * r)
 
 
 def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = None,
@@ -135,7 +140,7 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
         core = out_ok & in_ok
         if core.any():
             u = int(ids[np.argmax(core)])  # the smallest core vertex
-            ru = rng.uniform(2 * c * r, 2 * (c + 1) * r)
+            ru = _carve_radius(c, r, rng)
             # below the root, only one-source carves are memoized
             b = round_trip_ball(g, verts, u, ru, _rows=rows, _memo=memo if verts is base else None)
             balls.append(b)
@@ -164,6 +169,26 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
                  max_depth=deepest)
 
 
+def _decides_all(g: Graph, r: float, S, params: CoverParams, first: Cover, root_rows: _RowStore) -> bool:
+    """Whether the first trial of a cover fixes every later one: the root
+    estimate is exact (t >= n draws nothing, so every trial carves from
+    the same smallest core vertex u), the trial was that one carve holding
+    all n vertices, and u's round trip to every vertex is at most 2cr, the
+    least radius a carve draws.  Every trial then carves the same ball and
+    ends at depth 2; only its first draw, the radius, differs.  A
+    one-source root carves at radius r without an estimate, so it is not
+    decided here.  u's rows come from the root store, which the exact
+    estimate filled, so this searches nothing."""
+    n = g.n
+    if len(S) < 2 or sample_count(n, params.epsilon) < n or first.failure_parts:
+        return False
+    if len(first.balls) != 1 or len(first.balls[0].members) != n:
+        return False
+    at = np.array([first.balls[0].center])  # root store positions are vertex ids
+    rt = root_rows.rows_at(at, OUT)[0] + root_rows.rows_at(at, IN)[0]
+    return bool(rt.max() <= 2 * params.c * r)
+
+
 def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None = None,
                rng: random.Random | None = None, *, _root_rows: _RowStore | None = None) -> Cover:
     """Source-wise round-trip cover at target distance R.
@@ -182,6 +207,11 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     the whole set, or from a one-source working set, with a center that an
     earlier run carved from reads no row, and for an equal member count
     reuses the ball itself.
+
+    When the first run shows that the root decides every run (see
+    _decides_all), the later runs are not made: each is that run's one
+    whole-set ball with the radius its own stream draws first, so the
+    Cover is the one the runs would give, field by field.
 
     _root_rows is internal: a root store over all of g that an earlier
     cover of the same graph filled, in place of a fresh one.
@@ -214,11 +244,15 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
     failures = []
     deepest = 0
     for i in range(trials):
-        sub = random.Random(f"{base}:{i}")
-        one = recursive_cover(g, r, S, params, sub, _root_rows=root_rows)
+        one = recursive_cover(g, r, S, params, random.Random(f"{base}:{i}"), _root_rows=root_rows)
         balls.extend(one.balls)
         failures.extend(one.failure_parts)
         if one.max_depth > deepest:
             deepest = one.max_depth
+        if i == 0 and _decides_all(g, r, S, params, one, root_rows):
+            (ball,) = one.balls
+            balls.extend(replace(ball, radius=_carve_radius(params.c, r, random.Random(f"{base}:{j}")))
+                         for j in range(1, trials))
+            break
     return Cover(tuple(balls), tuple(failures), r, params, k=k, R=float(R),
                  trials=trials, max_depth=deepest)

@@ -70,6 +70,19 @@ class Graph:
         self.edges = tuple(cleaned)
         self._arrays = self._csr = None
 
+    @classmethod
+    def _from_arrays(cls, n, src, dst, w):
+        """A Graph over edges given as int64 src/dst and float64 weight
+        arrays that come from an already validated Graph, so they are not
+        checked again; the arrays become its _edge_arrays()."""
+        g = cls.__new__(cls)
+        g.n = n
+        g.m = len(w)
+        g.edges = tuple(zip(src.tolist(), dst.tolist(), w.tolist()))
+        g._arrays = (src, dst, w)
+        g._csr = None
+        return g
+
     def _edge_arrays(self):
         """(src, dst, weight) of every edge as numpy arrays, cached."""
         if self._arrays is None:

@@ -17,7 +17,10 @@ leaders (partition_at), never from per-pair distances.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .graph import UNREACHABLE, Graph
 
@@ -275,7 +278,10 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree, *,
     have different leaders at x_hi drop (no cycle this cheap uses them);
     vertices left without any edge drop.  Parallel super-edges keep only
     the lightest per ordered pair.  Sources follow their vertices and
-    silently vanish when removed.
+    silently vanish when removed.  Super-vertices are numbered in min_leaf
+    order of their leaders, and the kept edges in ascending original
+    index, each the least (weight, edge index) of its pair.  The whole cut
+    is array work over g's edge arrays and the two leader arrays.
 
     _graphs is internal, for build_scales: it maps (vertex_map, edge_map)
     to the Graph already built for an equal window, which is then
@@ -286,34 +292,31 @@ def contract(g: Graph, sources, x_lo: float, x_hi: float, tree: MergeTree, *,
     for s in sources:
         if not (0 <= s < g.n):
             raise ValueError(f"source {s} is not a vertex")
-    leader = tree.partition_at(x_lo)
-    cycle = tree.partition_at(x_hi)  # equal iff bottleneck distance <= x_hi
-    survivors = {}
-    for eidx, (u, v, w) in enumerate(g.edges):
-        if w > x_hi or cycle[u] != cycle[v]:
-            continue
-        lu, lv = leader[u], leader[v]
-        if lu == lv:
-            continue
-        key = (lu, lv)
-        cur = survivors.get(key)
-        if cur is None or (w, eidx) < cur:
-            survivors[key] = (w, eidx)
+    src, dst, w = g._edge_arrays()
+    leader = np.asarray(tree.partition_at(x_lo), dtype=np.int64)
+    cycle = np.asarray(tree.partition_at(x_hi), dtype=np.int64)  # equal iff distance <= x_hi
+    lu, lv = leader[src], leader[dst]
+    e = np.flatnonzero((w <= x_hi) & (cycle[src] == cycle[dst]) & (lu != lv))
+    # per (lu, lv) pair, its least (w, edge index) first
+    order = np.lexsort((e, w[e], lv[e], lu[e]))
+    e, pu, pv = e[order], lu[e][order], lv[e][order]
+    first = np.ones(len(e), dtype=bool)
+    first[1:] = (pu[1:] != pu[:-1]) | (pv[1:] != pv[:-1])
+    e = np.sort(e[first])
 
-    present = {a for a, _ in survivors} | {b for _, b in survivors}
-    order = sorted(present, key=lambda ld: tree.min_leaf[ld])
-    cid = {ld: i for i, ld in enumerate(order)}
+    present = np.unique(np.concatenate((lu[e], lv[e])))
+    present = present[np.argsort(np.asarray(tree.min_leaf)[present])]
+    cid = np.full(tree.size, -1, dtype=np.int64)
+    cid[present] = np.arange(len(present))
 
-    pairs = sorted(survivors.items(), key=lambda kv: kv[1][1])
-    edge_map = tuple(eidx for _, (_, eidx) in pairs)
-
-    vmap = tuple(cid.get(leader[v]) for v in range(g.n))
+    edge_map = tuple(e.tolist())
+    vmap = tuple(None if c < 0 else c for c in cid[leader].tolist())
 
     graphs = {} if _graphs is None else _graphs
     graph = graphs.get((vmap, edge_map))
     if graph is None:
-        graph = graphs[vmap, edge_map] = Graph(
-            len(order), [(cid[lu], cid[lv], w) for (lu, lv), (w, _) in pairs])
+        graph = graphs[vmap, edge_map] = Graph._from_arrays(
+            len(present), cid[lu[e]], cid[lv[e]], w[e])
 
     return ContractionBundle(
         None,
@@ -339,22 +342,33 @@ def build_scales(g: Graph, sources, tree: MergeTree):
     filtered with that float predicate, the one contract applies, so
     enumeration and contraction cannot disagree.
 
+    A window is fixed by three counts: the merge labels <= 2^t/n (its
+    leaders), the merge labels <= 2^t (its cycles) and the edge weights
+    <= 2^t.  contract runs once per distinct count triple; the other
+    scales with that triple reuse its bundle with their own t and bounds.
     Windows with equal vertex and edge maps share one Graph object, so a
     cover of one window can hand its searches on to the next.
     """
     n = g.n
     if n < 2 or g.m == 0:
         return []
+    merge_labels = sorted(tree.label[n:])
     cand = set()
-    for lab in set(tree.label[n:]):
+    for lab in set(merge_labels):
         lo = math.floor(math.log2(lab)) - 2
         hi = math.ceil(math.log2(lab * n)) + 2
         cand.update(t for t in range(lo, hi + 1) if 2.0 ** t / n < lab <= 2.0 ** t)
+    weights = sorted(w for _, _, w in g.edges)
     bundles = []
+    windows = {}
     graphs = {}
     for t in sorted(cand):
         x = 2.0 ** t
-        b = contract(g, sources, x / n, x, tree, _graphs=graphs)
-        assert b.graph.m > 0, "enumerated scale contracted to nothing"
-        bundles.append(replace(b, t=t))
+        key = (bisect_right(merge_labels, x / n), bisect_right(merge_labels, x),
+               bisect_right(weights, x))
+        b = windows.get(key)
+        if b is None:
+            b = windows[key] = contract(g, sources, x / n, x, tree, _graphs=graphs)
+            assert b.graph.m > 0, "enumerated scale contracted to nothing"
+        bundles.append(replace(b, t=t, x_lo=x / n, x_hi=x))
     return bundles

@@ -60,13 +60,10 @@ def oracle_round_trip_all_pairs(g: Graph, restrict=None, edge_indexes=None):
 
 
 def _scc_labels(g: Graph, max_weight):
-    rows = []
-    cols = []
-    for u, v, w in g.edges:
-        if w <= max_weight:
-            rows.append(u)
-            cols.append(v)
-    mat = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+    """Strong-component labels of g's edges of weight <= max_weight."""
+    src, dst, w = g._edge_arrays()
+    keep = w <= max_weight
+    mat = coo_matrix((np.ones(np.count_nonzero(keep)), (src[keep], dst[keep])), shape=(g.n, g.n))
     _, labels = connected_components(mat, directed=True, connection="strong")
     return labels
 

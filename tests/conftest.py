@@ -1,9 +1,10 @@
 """Shared test helpers and the acceptance summary section."""
 
+import heapq
 import random
 
 from rtspan.cli import generate_graph
-from rtspan.graph import Graph
+from rtspan.graph import OUT, UNREACHABLE, Graph
 
 ACCEPTANCE_LINES = []
 
@@ -52,3 +53,52 @@ def ring_with_chords(tag: str, n: int, chords: int):
             used.add((u, v))
             edges.append((u, v, float(2 ** rng.randrange(10))))
     return Graph(n, edges)
+
+
+def heap_sssp(g, restrict, source, direction):
+    """(dist, parent_edge) of a binary-heap Dijkstra over G(restrict) that
+    settles vertices in (d, id) order, scans each vertex's edges by index
+    and keeps the first strict improvement: the reference for sssp's
+    distances and, among tied shortest paths, its tree edges, and the
+    oracles' search independent of scipy."""
+    adj = [[] for _ in range(g.n)]
+    for idx, (u, v, w) in enumerate(g.edges):
+        if direction == OUT:
+            adj[u].append((v, w, idx))
+        else:
+            adj[v].append((u, w, idx))
+    member = [False] * g.n
+    for v in range(g.n) if restrict is None else restrict:
+        member[v] = True
+    dist = [UNREACHABLE] * g.n
+    parent = [None] * g.n
+    done = [False] * g.n
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for v, w, eidx in adj[u]:
+            if done[v] or not member[v]:
+                continue
+            nd = d + w
+            cur = dist[v]
+            if cur is UNREACHABLE or nd < cur:
+                dist[v] = nd
+                parent[v] = eidx
+                heapq.heappush(heap, (nd, v))
+    return tuple(dist), tuple(parent)
+
+
+def level_heavy_graph(seed):
+    """Small random digraph with a few weights so large that the others add
+    nothing (or round) in float64, so that many tight edges join vertices
+    at equal distance, with self-loops."""
+    rng = random.Random(f"level:{seed}")
+    pool = ([1e17, 1.0, 3.0, 8.0, 12.0], [2.0 ** 60, 1.0, 64.0, 128.0, 256.0], [1e16, 0.5, 1.0, 2.0])[seed % 3]
+    n = rng.randrange(3, 14)
+    edges = [(rng.randrange(n), rng.randrange(n), rng.choice(pool)) for _ in range(rng.randrange(n, 4 * n))]
+    edges += [(v, v, rng.choice(pool)) for v in rng.sample(range(n), 2)]  # self-loops
+    return Graph(n, edges), rng

@@ -8,6 +8,7 @@ import pytest
 
 import rtspan.cover as cover_mod
 import rtspan.estimate as est_mod
+import rtspan.spanner as spanner_mod
 from conftest import edge_subgraph, random_graph, ring_with_chords
 from rtspan.cover import Cover, CoverParams, _ceil_root, recursive_cover, swrt_cover
 from rtspan.graph import IN, OUT, Graph, round_trip_ball, sssp
@@ -398,3 +399,111 @@ class TestSwrtCover:
         g = random_graph("sc-nonfinite", 10, 30)
         with pytest.raises(ValueError, match="R must"):
             swrt_cover(g, 2, R, [0, 4], rng=random.Random(0))
+
+
+def all_trials(g, k, R, sources, params, seed, monkeypatch):
+    """(got, want, runs): the cover swrt_cover gives, the reference that
+    runs recursive_cover once per trial whatever the first trial shows,
+    and the number of recursive_cover runs the first one made."""
+    calls = []
+    real = cover_mod.recursive_cover
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cover_mod, "recursive_cover", spy)
+    got = swrt_cover(g, k, R, sources, params, rng=random.Random(seed))
+    got_calls = len(calls)
+    monkeypatch.setattr(cover_mod, "_decides_all", lambda *args: False)
+    want = swrt_cover(g, k, R, sources, params, rng=random.Random(seed))
+    assert len(calls) - got_calls == want.trials
+    monkeypatch.undo()
+    return got, want, got_calls
+
+
+def assert_same_cover(got, want):
+    """Field by field, each ball's radius and tree edges included."""
+    assert len(got.balls) == len(want.balls)
+    for a, b in zip(got.balls, want.balls):
+        assert (a.center, a.radius, a.members, a.rt_tree_edges) == \
+            (b.center, b.radius, b.members, b.rt_tree_edges)
+    assert got.failure_parts == want.failure_parts
+    assert (got.r, got.params, got.k, got.R, got.trials, got.max_depth) == \
+        (want.r, want.params, want.k, want.R, want.trials, want.max_depth)
+    assert got == want
+
+
+class TestDecidedCover:
+    def test_decided_graph_runs_one_trial(self, monkeypatch):
+        # every carve takes the whole set, and the exact root estimate
+        # (t >= 24) draws nothing, so the first trial decides all 32
+        g = random_graph("sw-rows", 24, 96, strongly_connected=True)
+        got, want, runs = all_trials(g, 2, 1.0, [0, 5, 11, 19], CoverParams(), 8, monkeypatch)
+        assert_same_cover(got, want)
+        assert runs == 1 and got.trials == 32 and got.max_depth == 2
+        assert len({b.radius for b in got.balls}) == got.trials
+        assert all(2 * 4 * got.r <= b.radius <= 2 * 5 * got.r for b in got.balls)
+
+    def test_decided_cover_searches_and_estimates_once(self, monkeypatch):
+        g = random_graph("sw-rows", 24, 96, strongly_connected=True)
+        counts = Counter()
+        real_est, real_ball = cover_mod.estimate_ball_fractions, cover_mod.round_trip_ball
+        real_dm = est_mod.distance_matrix
+
+        def count(name, fn):
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(cover_mod, "estimate_ball_fractions", count("estimate", real_est))
+        monkeypatch.setattr(cover_mod, "round_trip_ball", count("carve", real_ball))
+        monkeypatch.setattr(est_mod, "distance_matrix", count("search", real_dm))
+        swrt_cover(g, 2, 1.0, [0, 5, 11, 19], rng=random.Random(8))
+        assert counts == {"estimate": 1, "carve": 1, "search": 2}
+
+    @pytest.mark.parametrize("case", ["ring", "whole-first-trial", "one-source", "sampled-root"])
+    def test_undecided_cover_runs_every_trial(self, case, monkeypatch):
+        # ring: the partition runs.  whole-first-trial: the first trial
+        # carves the whole ring, but from a vertex whose round trips exceed
+        # 2cr, so a smaller draw would not.  one-source: the root carves at
+        # radius r and draws nothing.  sampled-root: eps = 0.9 gives t < n,
+        # so every root estimate draws its own sample.
+        g, R, sources, params = {
+            "ring": (ring_with_chords("ring-a", 40, 6), 2.0, [0, 13, 26], CoverParams()),
+            "whole-first-trial": (ring_with_chords("dec:0", 16, 3), 2.0, [0, 5, 10], CoverParams()),
+            "one-source": (random_graph("sw-rows", 24, 96), 1.0, [5], CoverParams()),
+            "sampled-root": (random_graph("sw-sampled", 40, 160), 1.0, [0, 9, 27],
+                             CoverParams(epsilon=0.9)),
+        }[case]
+        seed = 0 if case == "whole-first-trial" else 8
+        got, want, runs = all_trials(g, 2, R, sources, params, seed, monkeypatch)
+        assert_same_cover(got, want)
+        assert runs == got.trials
+        if case == "whole-first-trial":
+            assert len(got.balls[0].members) == g.n and not all(len(b.members) == g.n for b in got.balls)
+        if case == "one-source":
+            assert all(len(b.members) == g.n and b.radius == got.r for b in got.balls)
+        if case == "sampled-root":
+            assert est_mod.sample_count(g.n, 0.9) < g.n
+            assert all(len(b.members) == g.n for b in got.balls)
+
+    def test_grid_weight_spanner_covers_are_decided(self, monkeypatch):
+        # the windows of a grid-weight spanner build are each covered by
+        # one trial, and the output equals the one with every trial run
+        g = random_graph("dec-spanner", 60, 240)
+        src = [3, 17, 40, 52]
+        decisions = []
+        real = cover_mod._decides_all
+
+        def spy(*args):
+            decisions.append(real(*args))
+            return decisions[-1]
+
+        monkeypatch.setattr(cover_mod, "_decides_all", spy)
+        got = spanner_mod.swrt_spanner(g, 2, src, rng=random.Random(4))
+        monkeypatch.setattr(cover_mod, "_decides_all", lambda *args: False)
+        want = spanner_mod.swrt_spanner(g, 2, src, rng=random.Random(4))
+        assert decisions and all(decisions)
+        assert (got.edges, got.provenance, got.stats) == (want.edges, want.provenance, want.stats)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import rtspan.estimate as est_mod
-from conftest import random_graph
+from conftest import heap_sssp, random_graph
 from rtspan.cli import generate_graph
 from rtspan.estimate import FractionEstimates, _RowStore, estimate_ball_fractions, sample_count
-from rtspan.graph import IN, OUT, UNREACHABLE, Graph, distance_matrix, sssp, vertex_ids
+from rtspan.graph import IN, OUT, UNREACHABLE, Graph, distance_matrix, vertex_ids
 
 
 class TestSampleCount:
@@ -65,9 +65,10 @@ def assert_same_estimates(a, b):
 
 
 def recount(g, restrict, r, u, sample):
-    """Per-sample hit recount straight from two single-source searches."""
-    d_out = sssp(g, restrict, u, OUT).dist
-    d_in = sssp(g, restrict, u, IN).dist
+    """Per-sample hit recount straight from two single-source heap
+    searches, independent of the scipy rows the estimate reads."""
+    d_out, _ = heap_sssp(g, restrict, u, OUT)
+    d_in, _ = heap_sssp(g, restrict, u, IN)
     fo = sum(1 for v in sample if d_out[v] is not UNREACHABLE and d_out[v] <= r)
     fi = sum(1 for v in sample if d_in[v] is not UNREACHABLE and d_in[v] <= r)
     return fo, fi

@@ -1,4 +1,3 @@
-import heapq
 import math
 import random
 from bisect import bisect_right
@@ -6,7 +5,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import heap_sssp, level_heavy_graph, random_graph
 from rtspan.graph import (
     IN,
     OUT,
@@ -20,42 +19,6 @@ from rtspan.graph import (
     write_edge_list,
 )
 from rtspan.verify import oracle_one_way_all_pairs
-
-
-def heap_sssp(g, restrict, source, direction):
-    """(dist, parent_edge) of a binary-heap Dijkstra over G(restrict) that
-    settles vertices in (d, id) order, scans each vertex's edges by index
-    and keeps the first strict improvement: the reference for sssp's
-    distances and, among tied shortest paths, its tree edges."""
-    adj = [[] for _ in range(g.n)]
-    for idx, (u, v, w) in enumerate(g.edges):
-        if direction == OUT:
-            adj[u].append((v, w, idx))
-        else:
-            adj[v].append((u, w, idx))
-    member = [False] * g.n
-    for v in range(g.n) if restrict is None else restrict:
-        member[v] = True
-    dist = [UNREACHABLE] * g.n
-    parent = [None] * g.n
-    done = [False] * g.n
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w, eidx in adj[u]:
-            if done[v] or not member[v]:
-                continue
-            nd = d + w
-            cur = dist[v]
-            if cur is UNREACHABLE or nd < cur:
-                dist[v] = nd
-                parent[v] = eidx
-                heapq.heappush(heap, (nd, v))
-    return tuple(dist), tuple(parent)
 
 
 def heap_ball(g, restrict, center, radius):
@@ -96,18 +59,6 @@ def tie_heavy_graph(seed):
 # ordered by (d, tail) alone would make 1 and 2 each other's parents
 LEVEL_EDGES = [(0, 3, 1e17), (3, 1, 1.0), (1, 2, 1.0), (2, 1, 1.0)]
 LEVEL_GRAPHS = [Graph(4, LEVEL_EDGES), Graph(4, [*LEVEL_EDGES[:2], (1, 1, 1.0), *LEVEL_EDGES[2:]])]
-
-
-def level_heavy_graph(seed):
-    """Small random digraph with a few weights so large that the others add
-    nothing (or round) in float64, so that many tight edges join vertices
-    at equal distance, with self-loops."""
-    rng = random.Random(f"level:{seed}")
-    pool = ([1e17, 1.0, 3.0, 8.0, 12.0], [2.0 ** 60, 1.0, 64.0, 128.0, 256.0], [1e16, 0.5, 1.0, 2.0])[seed % 3]
-    n = rng.randrange(3, 14)
-    edges = [(rng.randrange(n), rng.randrange(n), rng.choice(pool)) for _ in range(rng.randrange(n, 4 * n))]
-    edges += [(v, v, rng.choice(pool)) for v in rng.sample(range(n), 2)]  # self-loops
-    return Graph(n, edges), rng
 
 
 class TestParse:
@@ -171,6 +122,24 @@ class TestGraphValidation:
             Graph(2, [(0, 2, 1.0)])
         with pytest.raises(ValueError):
             Graph(2, [(-1, 0, 1.0)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_array_graph_equals_validated_graph(self, seed):
+        # a relabelled slice of a graph with parallel edges and self-loops,
+        # as contract builds its windows
+        g, rng = tie_heavy_graph(seed)
+        src, dst, w = g._edge_arrays()
+        keep = np.array(sorted(rng.sample(range(g.m), rng.randrange(g.m + 1))), dtype=np.int64)
+        relabel = np.array(rng.sample(range(g.n), g.n), dtype=np.int64)
+        a = Graph._from_arrays(g.n, relabel[src[keep]], relabel[dst[keep]], w[keep])
+        b = Graph(g.n, [(relabel[g.edges[e][0]], relabel[g.edges[e][1]], g.edges[e][2]) for e in keep])
+        assert (a.n, a.m, a.edges) == (b.n, b.m, b.edges)
+        assert all(type(u) is int and type(v) is int and type(x) is float for u, v, x in a.edges)
+        for x, y in zip(a._edge_arrays(), b._edge_arrays()):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        ca, cb = a.weight_csr(), b.weight_csr()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ca, part), getattr(cb, part))
 
 
 class TestSssp:

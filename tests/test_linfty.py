@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rtspan.linfty
-from conftest import edge_subgraph, random_graph
+from conftest import edge_subgraph, level_heavy_graph, random_graph, ring_with_chords
 from rtspan.cli import generate_graph
 from rtspan.graph import IN, OUT, UNREACHABLE, Graph
 from rtspan.linfty import (
@@ -78,6 +78,39 @@ def children_of(tree):
 
 def arcs_of(g):
     return [(u, v, i) for i, (u, v, _) in enumerate(g.edges)]
+
+
+def loop_contract(g, sources, x_lo, x_hi, tree):
+    """(vertex_map, edge_map, sources, edges) of one window by a loop over
+    g.edges: per leader pair at x_lo, the least (weight, edge index) of the
+    edges at or below x_hi inside one cycle at x_hi; leaders numbered in
+    min_leaf order, kept edges in original index order."""
+    leader, cycle = tree.partition_at(x_lo), tree.partition_at(x_hi)
+    best = {}
+    for e, (u, v, w) in enumerate(g.edges):
+        if w <= x_hi and cycle[u] == cycle[v] and leader[u] != leader[v]:
+            key = (leader[u], leader[v])
+            best[key] = min(best.get(key, (w, e)), (w, e))
+    present = sorted({x for key in best for x in key}, key=tree.min_leaf.__getitem__)
+    cid = {x: i for i, x in enumerate(present)}
+    kept = sorted((e, cid[a], cid[b], w) for (a, b), (w, e) in best.items())
+    vmap = tuple(cid.get(leader[v]) for v in range(g.n))
+    return (vmap, tuple(e for e, _, _, _ in kept), frozenset(vmap[s] for s in sources if vmap[s] is not None),
+            tuple((a, b, w) for _, a, b, w in kept))
+
+
+# one graph per weight family; level graphs have weights that add nothing
+# beside 1e17 or 2^60, and levels 2 and 3 have different count triples
+# that give equal windows
+SCALE_FAMILIES = {
+    "grid": random_graph("bs-eq-grid", 30, 110),
+    "continuous": generate_graph(30, 110, random.Random("fixture:bs-eq-cont"),
+                                 w_min=1.0, w_max=1000.0, quantum=0),
+    "integer": generate_graph(30, 110, random.Random("fixture:bs-eq-int"),
+                              w_min=1.0, w_max=8.0, quantum=1.0),
+    "ring": ring_with_chords("bs-eq-ring", 30, 6),
+    **{f"level:{seed}": level_heavy_graph(seed)[0] for seed in range(6)},
+}
 
 
 class TestSccOfArcs:
@@ -362,6 +395,22 @@ class TestContract:
         b = contract(g, [], 0.5, 2.0, tree)
         assert all(u != v for u, v, _ in b.graph.edges)
 
+    @pytest.mark.parametrize("family", list(SCALE_FAMILIES))
+    def test_matches_loop_reference(self, family):
+        # windows from every pair of thresholds among the weights, the
+        # merge labels, and values between and beyond them
+        g = SCALE_FAMILIES[family]
+        tree, _ = linfty_merge_tree(g)
+        marks = sorted({w for _, _, w in g.edges} | set(tree.label[g.n:]))
+        xs = sorted({0.5 * marks[0], *marks[::3], 2.0 * marks[-1], *(0.5 * (a + b) for a, b in zip(marks, marks[1:]))})
+        src = list(range(0, g.n, 2))
+        for i, x_lo in enumerate(xs[::2]):
+            for x_hi in xs[2 * i::2]:
+                b = contract(g, src, x_lo, x_hi, tree)
+                assert loop_contract(g, src, x_lo, x_hi, tree) == \
+                    (b.vertex_map, b.edge_map, b.sources, b.graph.edges)
+                assert b.graph.n == len({c for c in b.vertex_map if c is not None})
+
     def test_window_validation(self):
         g = self.cycle_pair()
         tree, _ = linfty_merge_tree(g)
@@ -477,6 +526,32 @@ class TestBuildScales:
             alone = contract(g, src, b.x_lo, b.x_hi, tree)
             assert (alone.graph.n, alone.graph.edges) == (b.graph.n, b.graph.edges)
             assert replace(alone, t=b.t, graph=b.graph) == b
+
+    @pytest.mark.parametrize("family", list(SCALE_FAMILIES))
+    def test_bundles_equal_per_scale_contract(self, family, monkeypatch):
+        g = SCALE_FAMILIES[family]
+        src = list(range(0, g.n, 3))
+        tree, _ = linfty_merge_tree(g)
+        calls = []
+        real = rtspan.linfty.contract
+        monkeypatch.setattr(rtspan.linfty, "contract", lambda *a, **kw: calls.append(a[2:4]) or real(*a, **kw))
+        bundles = build_scales(g, src, tree)
+        monkeypatch.undo()
+        assert bundles and 0 < len(calls) <= len(bundles)
+        if family == "grid":  # every scale is one window
+            assert len(calls) == 1 < len(bundles)
+        for b in bundles:
+            x = 2.0 ** b.t
+            assert (b.x_lo, b.x_hi) == (x / g.n, x)
+            alone = contract(g, src, b.x_lo, b.x_hi, tree)
+            assert (alone.vertex_map, alone.edge_map, alone.sources) == (b.vertex_map, b.edge_map, b.sources)
+            assert (alone.graph.n, alone.graph.edges) == (b.graph.n, b.graph.edges)
+            assert loop_contract(g, src, b.x_lo, b.x_hi, tree) == \
+                (b.vertex_map, b.edge_map, b.sources, b.graph.edges)
+        # equal windows, and only they, share one Graph
+        for a in bundles:
+            for c in bundles:
+                assert (a.graph is c.graph) == ((a.vertex_map, a.edge_map) == (c.vertex_map, c.edge_map))
 
     def test_trivial_graphs(self):
         tree, _ = linfty_merge_tree(Graph(1, []))

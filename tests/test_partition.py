@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 import rtspan.estimate as est_mod
-from conftest import random_graph
+from conftest import heap_sssp, random_graph
 from rtspan.estimate import _RowStore, estimate_ball_fractions
 from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp, vertex_ids
 from rtspan.partition import cluster
 
 
 def brute_force_partition(g, restrict, centers, radii, direction):
-    """Direct argmax of r_u - d over centers; smallest id wins ties."""
+    """Direct argmax of r_u - d over centers; smallest id wins ties.  The
+    distances come from heap searches, not the scipy rows cluster reads."""
     verts = range(g.n) if restrict is None else sorted(restrict)
-    dists = {u: sssp(g, restrict, u, direction).dist for u in centers}
+    dists = {u: heap_sssp(g, restrict, u, direction)[0] for u in centers}
     assign = {}
     residual = set()
     for v in verts:

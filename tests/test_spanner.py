@@ -5,7 +5,7 @@ import pytest
 
 import rtspan.estimate as est_mod
 import rtspan.spanner as spanner_mod
-from conftest import random_graph, ring_with_chords
+from conftest import level_heavy_graph, random_graph, ring_with_chords
 from rtspan.cover import CoverParams
 from rtspan.graph import OUT, Graph
 from rtspan.linfty import build_scales, linfty_merge_tree
@@ -291,6 +291,34 @@ def test_degenerate_inputs(name, build):
     assert check_stretch(g, res.edges, src, stretch_bound(2, g.n)).passed
     loops = {i for i, (u, v, _) in enumerate(g.edges) if u == v}
     assert not loops & set(res.edges)
+
+
+# Weight-1 edges beside 1e17 ones add nothing to a 1e17 distance in
+# float64, so many tight edges join vertices at equal distance ("level"
+# edges).  Two bidirected weight-1 cycles joined both ways only by 1e17
+# edges, one way through a level chain 4 -> 5 -> 6 after 0 -> 4; and
+# level-heavy random graphs whose weights are all at least 1.
+LEVEL_SPANNER_GRAPHS = {
+    "two-clusters": Graph(8, [
+        *((u, (u + 1) % 4, 1.0) for u in range(4)), *(((u + 1) % 4, u, 1.0) for u in range(4)),
+        *((4 + u, 4 + (u + 1) % 4, 1.0) for u in range(4)), *((4 + (u + 1) % 4, 4 + u, 1.0) for u in range(4)),
+        (0, 4, 1e17), (2, 6, 1e17), (7, 3, 1e17), (5, 1, 1e17), (5, 1, 1e17 + 16.0), (1, 1, 1.0),
+    ]),
+    **{f"level:{seed}": level_heavy_graph(seed)[0] for seed in (1, 4)},
+}
+
+
+@pytest.mark.parametrize("build", [swrt_spanner, swrt_spanner_weighted],
+                         ids=["scales", "weighted"])
+@pytest.mark.parametrize("name", list(LEVEL_SPANNER_GRAPHS))
+def test_level_edges_end_to_end(name, build):
+    g = LEVEL_SPANNER_GRAPHS[name]
+    src = list(range(0, g.n, 2))
+    res = build(g, 2, src, rng=random.Random(5))
+    rep = check_stretch(g, res.edges, src, stretch_bound(2, g.n))
+    assert rep.passed and rep.qualifying_pairs > len(src)
+    if name == "two-clusters":  # pairs across the 1e17 edges qualify too
+        assert rep.qualifying_pairs == len(src) * g.n
 
 
 # Spanner edges recorded before the distance rows of the cover's first

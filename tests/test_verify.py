@@ -3,12 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from conftest import random_graph
 from rtspan.cover import Cover, CoverParams, recursive_cover
 from rtspan.graph import OUT, BallResult, Graph, round_trip_ball
 from rtspan.verify import (
     ProbabilityReport,
+    _scc_labels,
     check_cover,
     check_stretch,
     oracle_linfty_matrix,
@@ -76,6 +79,26 @@ class TestLinftyOracle:
         mat = oracle_linfty_matrix(g)
         assert np.isinf(mat[0, 1]) and np.isinf(mat[1, 0])
         assert mat[0, 0] == mat[1, 1] == 0.0
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scc_labels_match_edge_loop(self, seed):
+        # parallel edges and self-loops; thresholds below the lightest
+        # weight, at every weight, between weights and at the heaviest
+        rng = random.Random(f"scc-labels:{seed}")
+        n = rng.randrange(2, 30)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.choice([1.0, 1.5, 2.0, 7.25]))
+                 for _ in range(rng.randrange(1, 4 * n))]
+        edges += [(u, v, rng.choice([1.0, 9.0])) for u, v, _ in rng.sample(edges, len(edges) // 3)]
+        edges += [(v, v, 0.5) for v in rng.sample(range(n), min(n, 2))]
+        g = Graph(n, edges)
+        weights = sorted({w for _, _, w in edges})
+        for x in (-math.inf, 0.25, *weights, 1.25, 8.0, weights[-1], math.inf):
+            rows = [u for u, _, w in g.edges if w <= x]
+            cols = [v for _, v, w in g.edges if w <= x]
+            mat = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+            _, want = connected_components(mat, directed=True, connection="strong")
+            assert _scc_labels(g, x).tolist() == want.tolist()
 
 
 class TestCheckStretch:
