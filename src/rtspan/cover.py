@@ -151,11 +151,16 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
             part = cluster(g, verts, ids[~out_ok].tolist(), r, len(S), OUT, rng, _rows=rows)
         else:
             part = cluster(g, verts, ids[~in_ok].tolist(), r, len(S), IN, rng, _rows=rows)
-        pieces = part.parts()
-        if max(len(p) for p in pieces) > 7 * nv / 8:
+        # the parts are read off the labels, which follow parts() order; a
+        # part without a source would pop with nothing to do, at the depth
+        # of the parts with one, so it is not pushed
+        if np.bincount(part._labels).max() > 7 * nv / 8:
             failures.append(frozenset(verts))
             continue
-        stack.extend((frozenset(p), S & p, depth + 1) for p in reversed(pieces))
+        held = part._labels[np.searchsorted(part._ids, sorted(S))]
+        for label in np.unique(held)[::-1].tolist():
+            p = frozenset(part._ids[part._labels == label].tolist())
+            stack.append((p, S & p, depth + 1))
 
     total = sum(len(b.members) for b in balls) + sum(len(f) for f in failures)
     seen = set()
@@ -170,17 +175,20 @@ def recursive_cover(g: Graph, r: float, sources, params: CoverParams | None = No
 
 
 def _decides_all(g: Graph, r: float, S, params: CoverParams, first: Cover, root_rows: _RowStore) -> bool:
-    """Whether the first trial of a cover fixes every later one: the root
-    estimate is exact (t >= n draws nothing, so every trial carves from
-    the same smallest core vertex u), the trial was that one carve holding
-    all n vertices, and u's round trip to every vertex is at most 2cr, the
-    least radius a carve draws.  Every trial then carves the same ball and
-    ends at depth 2; only its first draw, the radius, differs.  A
-    one-source root carves at radius r without an estimate, so it is not
-    decided here.  u's rows come from the root store, which the exact
-    estimate filled, so this searches nothing."""
+    """Whether the first trial of a cover fixes every later one.  With one
+    source it always does: every trial carves from that source at radius
+    r, draws nothing and reads the same memoized ball.  With more, the root
+    estimate must be exact (t >= n draws nothing, so every trial carves
+    from the same smallest core vertex u), the trial must be that one
+    carve holding all n vertices, and u's round trip to every vertex at
+    most 2cr, the least radius a carve draws.  Every trial then carves the
+    same ball and ends at depth 2; only its first draw, the radius,
+    differs.  u's rows come from the root store, which the exact estimate
+    filled, so this searches nothing."""
     n = g.n
-    if len(S) < 2 or sample_count(n, params.epsilon) < n or first.failure_parts:
+    if len(S) == 1:
+        return True
+    if sample_count(n, params.epsilon) < n or first.failure_parts:
         return False
     if len(first.balls) != 1 or len(first.balls[0].members) != n:
         return False
@@ -210,8 +218,9 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
 
     When the first run shows that the root decides every run (see
     _decides_all), the later runs are not made: each is that run's one
-    whole-set ball with the radius its own stream draws first, so the
-    Cover is the one the runs would give, field by field.
+    ball, with radius r for one source and otherwise with the radius its
+    own stream draws first, so the Cover is the one the runs would give,
+    field by field.
 
     _root_rows is internal: a root store over all of g that an earlier
     cover of the same graph filled, in place of a fresh one.
@@ -251,8 +260,9 @@ def swrt_cover(g: Graph, k: int, R: float, sources, params: CoverParams | None =
             deepest = one.max_depth
         if i == 0 and _decides_all(g, r, S, params, one, root_rows):
             (ball,) = one.balls
-            balls.extend(replace(ball, radius=_carve_radius(params.c, r, random.Random(f"{base}:{j}")))
-                         for j in range(1, trials))
+            for j in range(1, trials):
+                radius = r if s == 1 else _carve_radius(params.c, r, random.Random(f"{base}:{j}"))
+                balls.append(replace(ball, radius=radius))
             break
     return Cover(tuple(balls), tuple(failures), r, params, k=k, R=float(R),
                  trials=trials, max_depth=deepest)

@@ -50,7 +50,7 @@ class Graph:
     every operation in this package treats them as shared read-only values.
     """
 
-    __slots__ = ("n", "m", "edges", "_arrays", "_csr")
+    __slots__ = ("n", "m", "edges", "_arrays", "_pairs")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -68,7 +68,8 @@ class Graph:
         self.n = n
         self.m = len(cleaned)
         self.edges = tuple(cleaned)
-        self._arrays = self._csr = None
+        self._arrays = None
+        self._pairs = {}
 
     @classmethod
     def _from_arrays(cls, n, src, dst, w):
@@ -80,7 +81,7 @@ class Graph:
         g.m = len(w)
         g.edges = tuple(zip(src.tolist(), dst.tolist(), w.tolist()))
         g._arrays = (src, dst, w)
-        g._csr = None
+        g._pairs = {}
         return g
 
     def _edge_arrays(self):
@@ -91,16 +92,27 @@ class Graph:
                             np.array(w, dtype=np.float64))
         return self._arrays
 
+    def _weight_pairs(self, direction=OUT):
+        """(row, col, weight, csr) for the lightest edge of each ordered
+        pair, sorted by (row, col), with the whole-graph CSR matrix over
+        them, cached.  Rows are tails for OUT and heads for IN, so the IN
+        matrix is the transpose of the OUT one."""
+        pairs = self._pairs.get(direction)
+        if pairs is None:
+            src, dst, w = self._edge_arrays()
+            row, col = (src, dst) if direction == OUT else (dst, src)
+            order = np.lexsort((w, col, row))  # each pair's lightest edge first
+            row, col, w = row[order], col[order], w[order]
+            first = np.ones(len(w), dtype=bool)
+            first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+            # int32, the index type of scipy's graph routines
+            row, col, w = row[first].astype(np.int32), col[first].astype(np.int32), w[first]
+            pairs = self._pairs[direction] = (row, col, w, _csr(self.n, row, col, w))
+        return pairs
+
     def weight_csr(self):
         """Sparse weight matrix, minimum weight per ordered pair, cached."""
-        if self._csr is None:
-            src, dst, w = self._edge_arrays()
-            order = np.lexsort((w, dst, src))  # each pair's lightest edge first
-            src, dst, w = src[order], dst[order], w[order]
-            first = np.ones(len(w), dtype=bool)
-            first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-            self._csr = csr_matrix((w[first], (src[first], dst[first])), shape=(self.n, self.n))
-        return self._csr
+        return self._weight_pairs()[3]
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -342,14 +354,23 @@ def distance_matrix(g: Graph, restrict, sources, direction: str = OUT):
         rows = [pos[s] for s in sources]
     except KeyError as exc:
         raise ValueError(f"source {exc.args[0]} not inside restrict") from None
-    sub = g.weight_csr()
-    if len(verts) != g.n:
-        idx = np.asarray(verts, dtype=np.int64)
-        sub = sub[idx][:, idx]
-    if direction == IN:
-        sub = sub.T
-    elif direction != OUT:
+    if direction not in (OUT, IN):
         raise ValueError(f"direction must be OUT or IN, got {direction!r}")
     if not rows:
         return np.zeros((0, len(verts)))
+    row, col, w, sub = g._weight_pairs(direction)
+    if len(verts) != g.n:
+        # relabeling keeps the pairs of G(restrict) sorted by (row, col)
+        at = np.full(g.n, -1, dtype=np.int32)
+        at[verts] = np.arange(len(verts))
+        row, col = at[row], at[col]
+        keep = (row >= 0) & (col >= 0)
+        sub = _csr(len(verts), row[keep], col[keep], w[keep])
     return np.atleast_2d(_sp_dijkstra(sub, directed=True, indices=rows))
+
+
+def _csr(n, row, col, w):
+    """The n x n CSR matrix of (row, col, w) triplets sorted by row."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return csr_matrix((w, col, indptr), shape=(n, n))

@@ -34,12 +34,47 @@ class Cluster:
     reach: float
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Clusters ordered by center id, plus the residual of unclaimed vertices."""
+    """Clusters ordered by center id, plus the residual of unclaimed vertices.
 
-    clusters: tuple
-    residual: frozenset
+    A partition is held as one label per working-set vertex: _ids holds the
+    vertex ids ascending and _labels, aligned with them, the index of the
+    cluster that claims each, or the cluster count for the residual, so
+    labels follow parts() order.  The Cluster objects and the residual set
+    are built from the labels when first read.
+    """
+
+    __slots__ = ("_ids", "_labels", "_count", "_build", "_clusters", "_residual")
+
+    def __init__(self, clusters, residual):
+        clusters = tuple(clusters)
+        parts = [*(c.members for c in clusters), residual]
+        ids = np.fromiter((v for p in parts for v in p), dtype=np.int64)
+        order = np.argsort(ids, kind="stable")
+        labels = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        self._ids, self._labels, self._count = ids[order], labels[order], len(parts) - 1
+        self._clusters, self._residual, self._build = clusters, frozenset(residual), None
+
+    @classmethod
+    def _from_labels(cls, ids, labels, count, build):
+        """The partition of ids by labels, count of them clusters; build()
+        makes its Cluster tuple when it is first read."""
+        p = cls.__new__(cls)
+        p._ids, p._labels, p._count, p._build = ids, labels, count, build
+        p._clusters = p._residual = None
+        return p
+
+    @property
+    def clusters(self):
+        if self._clusters is None:
+            self._clusters, self._build = self._build(), None
+        return self._clusters
+
+    @property
+    def residual(self):
+        if self._residual is None:
+            self._residual = frozenset(self._ids[self._labels == self._count].tolist())
+        return self._residual
 
     def parts(self):
         out = [c.members for c in self.clusters]
@@ -48,10 +83,20 @@ class Partition:
         return out
 
     def same_part(self, u, v) -> bool:
-        for c in self.clusters:
-            if u in c.members:
-                return v in c.members
-        return u in self.residual and v in self.residual
+        ids, n = self._ids, len(self._ids)
+        i, j = np.searchsorted(ids, (u, v)).tolist()
+        return bool(i < n and j < n and ids[i] == u and ids[j] == v and self._labels[i] == self._labels[j])
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return (self.clusters, self.residual) == (other.clusters, other.residual)
+
+    def __hash__(self):
+        return hash((self.clusters, self.residual))
+
+    def __repr__(self):
+        return f"Partition(clusters={self.clusters!r}, residual={self.residual!r})"
 
 
 def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
@@ -84,9 +129,10 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
     ids = _rows.ids
     U = sorted(set(centers))
     at = np.searchsorted(ids, U)
-    for u, i in zip(U, at.tolist()):
-        if i == len(verts) or verts[i] != u:
-            raise ValueError(f"center {u} not inside restrict")
+    inside = at < len(ids)
+    inside[inside] = ids[at[inside]] == np.asarray(U)[inside]
+    if not inside.all():
+        raise ValueError(f"center {U[int(inside.argmin())]} not inside restrict")
     if not U:
         return Partition((), frozenset(verts))
 
@@ -100,13 +146,20 @@ def cluster(g: Graph, restrict, centers, r: float, s: int, direction: str = OUT,
     np.subtract(np.asarray(rad)[:, None], score, out=score)
     best = score.argmax(axis=0)
     claimed = score[best, np.arange(len(ids))] > 0.0
-    q = np.flatnonzero(claimed)
-    q = q[np.argsort(best[q], kind="stable")]  # by center, then by vertex
-    won, starts, slot = np.unique(best[q], return_index=True, return_inverse=True)
-    # score overwrote its copy of the rows, so reach reads the winners' rows
-    reach = np.maximum.reduceat(_rows.rows_at(at[won], direction)[slot, q], starts).tolist()
-    members = ids[q].tolist()
-    ends = [*starts[1:].tolist(), len(members)]
-    clusters = tuple(Cluster(U[i], rad[i], frozenset(members[a:b]), d) for i, a, b, d
+    wins = np.bincount(best[claimed], minlength=len(U)) > 0
+    rank = np.cumsum(wins) - 1  # a center's index among the centers that claim
+    count = int(rank[-1]) + 1
+    labels = np.where(claimed, rank[best], count)
+
+    def build():
+        q = np.flatnonzero(claimed)
+        q = q[np.argsort(best[q], kind="stable")]  # by center, then by vertex
+        won, starts, slot = np.unique(best[q], return_index=True, return_inverse=True)
+        # score overwrote its copy of the rows, so reach reads the winners' rows
+        reach = np.maximum.reduceat(_rows.rows_at(at[won], direction)[slot, q], starts).tolist()
+        members = ids[q].tolist()
+        ends = [*starts[1:].tolist(), len(members)]
+        return tuple(Cluster(U[i], rad[i], frozenset(members[a:b]), d) for i, a, b, d
                      in zip(won.tolist(), starts.tolist(), ends, reach))
-    return Partition(clusters, frozenset(ids[~claimed].tolist()))
+
+    return Partition._from_labels(ids, labels, count, build)

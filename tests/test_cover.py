@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import random
 from collections import Counter
@@ -463,17 +464,15 @@ class TestDecidedCover:
         swrt_cover(g, 2, 1.0, [0, 5, 11, 19], rng=random.Random(8))
         assert counts == {"estimate": 1, "carve": 1, "search": 2}
 
-    @pytest.mark.parametrize("case", ["ring", "whole-first-trial", "one-source", "sampled-root"])
+    @pytest.mark.parametrize("case", ["ring", "whole-first-trial", "sampled-root"])
     def test_undecided_cover_runs_every_trial(self, case, monkeypatch):
         # ring: the partition runs.  whole-first-trial: the first trial
         # carves the whole ring, but from a vertex whose round trips exceed
-        # 2cr, so a smaller draw would not.  one-source: the root carves at
-        # radius r and draws nothing.  sampled-root: eps = 0.9 gives t < n,
-        # so every root estimate draws its own sample.
+        # 2cr, so a smaller draw would not.  sampled-root: eps = 0.9 gives
+        # t < n, so every root estimate draws its own sample.
         g, R, sources, params = {
             "ring": (ring_with_chords("ring-a", 40, 6), 2.0, [0, 13, 26], CoverParams()),
             "whole-first-trial": (ring_with_chords("dec:0", 16, 3), 2.0, [0, 5, 10], CoverParams()),
-            "one-source": (random_graph("sw-rows", 24, 96), 1.0, [5], CoverParams()),
             "sampled-root": (random_graph("sw-sampled", 40, 160), 1.0, [0, 9, 27],
                              CoverParams(epsilon=0.9)),
         }[case]
@@ -483,11 +482,24 @@ class TestDecidedCover:
         assert runs == got.trials
         if case == "whole-first-trial":
             assert len(got.balls[0].members) == g.n and not all(len(b.members) == g.n for b in got.balls)
-        if case == "one-source":
-            assert all(len(b.members) == g.n and b.radius == got.r for b in got.balls)
         if case == "sampled-root":
             assert est_mod.sample_count(g.n, 0.9) < g.n
             assert all(len(b.members) == g.n for b in got.balls)
+
+    @pytest.mark.parametrize("graph", ["grid", "ring"])
+    def test_one_source_cover_runs_one_trial(self, graph, monkeypatch):
+        # every trial carves from the one source at radius r and draws
+        # nothing, so the first trial decides them all
+        g, R, source = {"grid": (random_graph("sw-rows", 24, 96), 1.0, 5),
+                        "ring": (ring_with_chords("ring-a", 40, 6), 4.0, 15)}[graph]
+        got, want, runs = all_trials(g, 2, R, [source], CoverParams(), 8, monkeypatch)
+        assert_same_cover(got, want)
+        assert runs == 1 and got.trials == 16 and got.max_depth == 1
+        assert all(b.radius == got.r and b.members == got.balls[0].members for b in got.balls)
+        if graph == "grid":
+            assert len(got.balls[0].members) == g.n
+        else:
+            assert 1 < len(got.balls[0].members) < g.n
 
     def test_grid_weight_spanner_covers_are_decided(self, monkeypatch):
         # the windows of a grid-weight spanner build are each covered by
@@ -507,3 +519,87 @@ class TestDecidedCover:
         want = spanner_mod.swrt_spanner(g, 2, src, rng=random.Random(4))
         assert decisions and all(decisions)
         assert (got.edges, got.provenance, got.stats) == (want.edges, want.provenance, want.stats)
+
+
+def eager_cluster(monkeypatch):
+    """Wrap the cover's cluster so that it returns Partition(clusters,
+    residual) built from the Cluster objects; returns the call log."""
+    calls = []
+    real = cover_mod.cluster
+
+    def eager(*args, **kwargs):
+        p = real(*args, **kwargs)
+        calls.append(len(p.clusters))
+        return Partition(p.clusters, p.residual)
+
+    monkeypatch.setattr(cover_mod, "cluster", eager)
+    return calls
+
+
+class TestLabelPartitions:
+    """The cover reads a partition's labels; it makes the same cover from
+    a partition built from Cluster objects, and builds none itself."""
+
+    RINGS = [("ring-a", 40, 6, 2.0), ("ring-b", 60, 6, 3.0), ("ring-c", 80, 8, 2.0), ("ring-d", 50, 4, 4.0)]
+    # cover_digest of seeds 0, 1, 2, recorded while the cover still built
+    # every Cluster and pushed every part, source-free ones included
+    RECORDED = {
+        "ring-a": ["d1a3c8619d650a3d", "f00b04765739497d", "2211a0bbdf4e6558"],
+        "ring-b": ["c58a4ffc74f7a5e1", "d5792864b2d136fe", "51a1f8619a9f384b"],
+        "ring-c": ["405b4bac259792a7", "cbcbcfe791cb8fec", "fd38c73a4b0172f0"],
+        "ring-d": ["e892776352cedb59", "0690b4ae51acb0a8", "284e314434741c4c"],
+    }
+
+    @staticmethod
+    def cover_digest(cov):
+        text = repr(([(b.center, b.radius, sorted(b.members), sorted(b.rt_tree_edges)) for b in cov.balls],
+                     [sorted(f) for f in cov.failure_parts], cov.trials, cov.max_depth))
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    @pytest.mark.parametrize("tag, n, chords, R", RINGS, ids=[r[0] for r in RINGS])
+    def test_ring_covers_match_recorded(self, tag, n, chords, R):
+        # weights are powers of two, so every distance, and the digest, is
+        # exact; a part pushed out of parts() order moves the draws after it
+        g = ring_with_chords(tag, n, chords)
+        sources = list(range(0, n, n // 5))
+        got = [self.cover_digest(swrt_cover(g, 2, R, sources, rng=random.Random(seed))) for seed in range(3)]
+        assert got == self.RECORDED[tag]
+
+    @pytest.mark.parametrize("tag, n, chords, R", RINGS, ids=[r[0] for r in RINGS])
+    def test_labels_equal_eager_partitions(self, tag, n, chords, R, monkeypatch):
+        g = ring_with_chords(tag, n, chords)
+        sources = list(range(0, n, n // 5))
+        for seed in range(3):
+            got = swrt_cover(g, 2, R, sources, rng=random.Random(seed))
+            calls = eager_cluster(monkeypatch)
+            want = swrt_cover(g, 2, R, sources, rng=random.Random(seed))
+            monkeypatch.undo()
+            assert calls and max(calls) > 1
+            assert_same_cover(got, want)
+
+    def test_ring_cover_builds_no_cluster(self, monkeypatch):
+        import rtspan.partition as partition_mod
+
+        built = []
+
+        class Counted(Cluster):
+            def __init__(self, center, *rest):
+                built.append(center)
+                super().__init__(center, *rest)
+
+        g = ring_with_chords("ring-a", 40, 6)
+        monkeypatch.setattr(partition_mod, "Cluster", Counted)
+        calls = []
+        real = cover_mod.cluster
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cover_mod, "cluster", spy)
+        swrt_cover(g, 2, 2.0, [0, 13, 26], rng=random.Random(3))
+        assert calls and built == []
+        # reading a partition's clusters builds them, through the same name
+        p = partition_mod.cluster(g, None, [0, 13, 26], 20.0, 4, rng=random.Random(0))
+        assert built == []
+        assert len(p.clusters) == len(built) > 0

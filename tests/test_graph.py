@@ -4,8 +4,10 @@ from bisect import bisect_right
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
-from conftest import heap_sssp, level_heavy_graph, random_graph
+from conftest import heap_sssp, level_heavy_graph, random_graph, ring_with_chords
 from rtspan.graph import (
     IN,
     OUT,
@@ -300,3 +302,43 @@ class TestSubgraphAndMatrix:
             mat = distance_matrix(g, restrict=keep, sources=keep[:4], direction=direction)
             want = dist[:4] if direction == OUT else dist[:, :4].T
             assert np.array_equal(mat, want)
+
+    @staticmethod
+    def sliced_reference(g, verts, sources, direction):
+        """Rows by slicing the whole-graph weight matrix, lightest edge per
+        pair, with csr[idx][:, idx] and transposing it for IN."""
+        lightest = {}
+        for u, v, w in g.edges:
+            lightest[u, v] = min(w, lightest.get((u, v), math.inf))
+        rows, cols = zip(*lightest) if lightest else ((), ())
+        csr = csr_matrix((list(lightest.values()), (rows, cols)), shape=(g.n, g.n))
+        idx = np.asarray(verts, dtype=np.int64)
+        sub = csr[idx][:, idx]
+        if direction == IN:
+            sub = sub.T
+        pos = {v: i for i, v in enumerate(verts)}
+        return np.atleast_2d(sp_dijkstra(sub, directed=True, indices=[pos[s] for s in sources]))
+
+    @pytest.mark.parametrize("family", ["grid", "ties", "level", "ring"])
+    def test_distance_matrix_equals_sliced_matrix(self, family):
+        # ties: parallel edges and self-loops; level: weights such as 1
+        # beside 1e17; half the grid graphs leave pairs unreachable
+        infinite = 0
+        for seed in range(12):
+            g, rng = {
+                "grid": lambda: (random_graph(f"dm:{seed}", 30, 70, strongly_connected=seed % 2 == 0),
+                                 random.Random(seed)),
+                "ties": lambda: tie_heavy_graph(seed),
+                "level": lambda: level_heavy_graph(seed),
+                "ring": lambda: (ring_with_chords(f"dm:{seed}", 40, 6), random.Random(seed)),
+            }[family]()
+            restricts = [list(range(g.n)), [rng.randrange(g.n)]]
+            restricts += [sorted(rng.sample(range(g.n), rng.randint(2, g.n))) for _ in range(4)]
+            for verts in restricts:
+                sources = rng.sample(verts, rng.randint(1, len(verts)))
+                for direction in (OUT, IN):
+                    got = distance_matrix(g, verts, sources, direction)
+                    want = self.sliced_reference(g, verts, sources, direction)
+                    assert got.shape == want.shape and np.array_equal(got, want)
+                    infinite += bool(np.isinf(got).any())
+        assert infinite > 0

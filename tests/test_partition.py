@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import rtspan.estimate as est_mod
-from conftest import heap_sssp, random_graph
+from conftest import heap_sssp, random_graph, ring_with_chords
 from rtspan.estimate import _RowStore, estimate_ball_fractions
-from rtspan.graph import IN, OUT, UNREACHABLE, Graph, sssp, vertex_ids
-from rtspan.partition import cluster
+from rtspan.graph import IN, OUT, UNREACHABLE, Graph, distance_matrix, sssp, vertex_ids
+from rtspan.partition import Cluster, Partition, cluster
 
 
 def brute_force_partition(g, restrict, centers, radii, direction):
@@ -266,3 +266,102 @@ class TestRowStore:
         store = _RowStore(g, vertex_ids(g, range(10)))
         with pytest.raises(ValueError, match="another working set"):
             cluster(g, None, [0], 2.0, 4, rng=random.Random(0), _rows=store)
+
+
+def eager_partition(g, restrict, centers, radii, direction):
+    """The partition cluster gives for these radii, built directly as
+    Cluster objects: scores from the centers' distance_matrix rows, the
+    smallest center winning equal scores, reach the largest member entry
+    of the winner's row, so every reach is bit-equal to cluster's."""
+    verts = vertex_ids(g, restrict)
+    U = sorted(set(centers))
+    rows = distance_matrix(g, verts, U, direction) if U else np.zeros((0, len(verts)))
+    owner = {}
+    for q, v in enumerate(verts):
+        best = max(range(len(U)), key=lambda i: (radii[U[i]] - rows[i, q], -i), default=None)
+        if best is not None and radii[U[best]] - rows[best, q] > 0.0:
+            owner.setdefault(best, []).append(q)
+    clusters = tuple(Cluster(U[i], radii[U[i]], frozenset(verts[q] for q in qs),
+                             max(float(rows[i, q]) for q in qs)) for i, qs in sorted(owner.items()))
+    claimed = {v for c in clusters for v in c.members}
+    return Partition(clusters, frozenset(v for v in verts if v not in claimed))
+
+
+def assert_same_partition(got, want, g):
+    """Field by field, with parts() and same_part read off want's Cluster
+    objects rather than its labels."""
+    assert len(got.clusters) == len(want.clusters)
+    for a, b in zip(got.clusters, want.clusters):
+        assert (a.center, a.radius, a.members) == (b.center, b.radius, b.members)
+        assert a.reach == b.reach and math.copysign(1.0, a.reach) == math.copysign(1.0, b.reach)
+    assert got.residual == want.residual
+    parts = [c.members for c in want.clusters] + ([want.residual] if want.residual else [])
+    assert got.parts() == parts
+    part_of = {v: i for i, p in enumerate(parts) for v in p}
+    for u in range(g.n):  # vertices outside restrict included
+        for v in range(g.n):
+            assert got.same_part(u, v) is (u in part_of and part_of[u] == part_of.get(v))
+    assert got == want
+
+
+class TestLabelPartition:
+    """cluster returns a partition held as labels; its clusters, residual,
+    parts and same_part equal those of the eager Cluster objects."""
+
+    CASES = [
+        ("grid", lambda i: random_graph(f"lab:{i}", 24, 80, strongly_connected=i % 2 == 0)),
+        ("ring", lambda i: ring_with_chords(f"lab:{i}", 30, 4)),
+    ]
+
+    @pytest.mark.parametrize("family, make", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("direction", [OUT, IN])
+    def test_equals_eager_reference(self, family, make, direction):
+        residual = 0
+        for i in range(10):
+            g = make(i)
+            rng = random.Random(f"lab:{family}:{i}")
+            keep = None if i % 3 == 0 else sorted(rng.sample(range(g.n), rng.randint(2, g.n - 1)))
+            pool = vertex_ids(g, keep)
+            centers = rng.sample(pool, rng.randint(1, min(12, len(pool))))
+            scale = 64.0 if family == "ring" else 2.0
+            radii = {u: rng.randint(0, 64) / 64.0 * scale for u in centers}
+            got = cluster(g, keep, centers, scale, 4, direction, FixedRadii(radii))
+            assert_same_partition(got, eager_partition(g, keep, centers, radii, direction), g)
+            residual += bool(got.residual)
+            # the real draws, on the same labels path
+            drawn = random.Random(i)
+            want = {u: drawn.expovariate(math.log(4) / scale) for u in sorted(set(centers))}
+            got = cluster(g, keep, centers, scale, 4, direction, random.Random(i))
+            assert_same_partition(got, eager_partition(g, keep, centers, want, direction), g)
+        assert residual >= 3
+
+    @pytest.mark.parametrize("direction", [OUT, IN])
+    def test_equal_scores_smallest_center_wins(self, direction):
+        # on a bidirected path of unit weights 0 - 1 - 2 - 3 - 4, centers 0
+        # and 4 with radius 3 both offer score 1 to vertex 2
+        g = Graph(5, [(u, u + 1, 1.0) for u in range(4)] + [(u + 1, u, 1.0) for u in range(4)])
+        radii = {0: 3.0, 4: 3.0}
+        got = cluster(g, None, [4, 0], 5.0, 2, direction, FixedRadii(radii))
+        assert_same_partition(got, eager_partition(g, None, [0, 4], radii, direction), g)
+        assert [set(c.members) for c in got.clusters] == [{0, 1, 2}, {3, 4}]
+
+    def test_no_center_claims_anything(self):
+        # a zero radius scores 0 at its own center, which claims nothing
+        g = random_graph("lab-none", 12, 40)
+        radii = {2: 0.0, 7: 0.0}
+        for direction in (OUT, IN):
+            got = cluster(g, range(1, 11), [7, 2], 2.0, 4, direction, FixedRadii(radii))
+            assert_same_partition(got, eager_partition(g, range(1, 11), [2, 7], radii, direction), g)
+            assert got.clusters == () and got.residual == frozenset(range(1, 11))
+            assert got.parts() == [frozenset(range(1, 11))]
+
+    def test_eager_partition_labels(self):
+        # Partition(clusters, residual) holds the same labels a cluster call
+        # would: one per vertex, ascending ids, the residual labelled last
+        p = Partition((Cluster(3, 1.0, frozenset({5, 3}), 0.5), Cluster(4, 1.0, frozenset({4}), 0.0)),
+                      frozenset({0, 6}))
+        assert p._ids.tolist() == [0, 3, 4, 5, 6]
+        assert p._labels.tolist() == [2, 0, 1, 0, 2]
+        assert p.parts() == [frozenset({3, 5}), frozenset({4}), frozenset({0, 6})]
+        assert p.same_part(3, 5) and p.same_part(0, 6) and not p.same_part(3, 4)
+        assert not p.same_part(1, 1) and not p.same_part(0, 1)
