@@ -6,12 +6,14 @@ below it.  Merging strongly connected super-nodes as the threshold rises
 yields a dendrogram (MergeTree) whose lowest-common-ancestor labels are
 that distance, plus a small certificate edge set that preserves it.  The
 merges are found by an offline incremental-SCC divide and conquer over
-the ranks of the distinct weights, O(m log m) SCC work rather than one
-SCC pass per distinct weight; internal nodes that form at one weight are
-numbered in min_leaf order.  Contraction cuts a graph down to one weight
-window so each distance scale works on a small graph; the windows and
-their edges are read off the tree's labels and its per-threshold
-leaders (partition_at), never from per-pair distances.
+the ranks of the distinct weights, run one level at a time: each level is
+one call to scipy's strong components, O(m log m) work rather than one
+SCC pass per distinct weight.  A super-node is named by its least vertex,
+its min_leaf; internal nodes that form at one weight are numbered in
+min_leaf order.  Contraction cuts a graph down to one weight window so
+each distance scale works on a small graph; the windows and their edges
+are read off the tree's labels and its per-threshold leaders
+(partition_at), never from per-pair distances.
 """
 
 from __future__ import annotations
@@ -19,8 +21,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .graph import UNREACHABLE, Graph
 
@@ -80,63 +86,6 @@ class MergeTree:
         return lead[:self.n]
 
 
-def _scc_of_arcs(arcs):
-    """Tarjan over the multigraph the arcs define; only components with two
-    or more nodes are returned."""
-    adj = {}
-    nodes = set()
-    for a, b, _ in arcs:
-        nodes.add(a)
-        nodes.add(b)
-        adj.setdefault(a, []).append(b)
-    index = {}
-    low = {}
-    on = set()
-    stk = []
-    comps = []
-    counter = 0
-    for root in sorted(nodes):
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stk.append(root)
-        on.add(root)
-        work = [(root, iter(adj.get(root, ())))]
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stk.append(nxt)
-                    on.add(nxt)
-                    work.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
-                    break
-                if nxt in on and index[nxt] < low[v]:
-                    low[v] = index[nxt]
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    x = stk.pop()
-                    on.discard(x)
-                    comp.add(x)
-                    if x == v:
-                        break
-                if len(comp) >= 2:
-                    comps.append(comp)
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-    return comps
-
-
 def _span_arcs(root, nodes, adj):
     """Edge indexes of a BFS arborescence from root covering nodes."""
     seen = {root}
@@ -160,92 +109,82 @@ def linfty_merge_tree(g: Graph):
 
     An arc's merge rank is the rank, among the distinct weights, of the
     smallest threshold w at or above its own weight at which its
-    endpoints are strongly connected.  An offline incremental-SCC divide
-    and conquer finds every merge rank.  A rank range [lo, hi] holds the
-    arcs still undecided, endpoints mapped to the super-nodes formed
-    below lo; the SCCs of those at rank <= mid send each arc to
-    [lo, mid] (joined by mid) or [mid+1, hi].  Ranges are settled lowest
-    first from an explicit stack, so each arc takes part in at most one
-    SCC pass per level and one at its leaf: O(m log m) SCC work in all.
+    endpoints are strongly connected.  A divide and conquer over the
+    ranks finds every merge rank.  A rank range [lo, hi] holds the arcs
+    still undecided, each endpoint named by the least vertex of its
+    super-node below lo; the strong components of those at rank <= mid
+    send each arc to [lo, mid] (joined by mid) or, renamed to its
+    components at mid, to [mid+1, hi], unless it now lies inside one.
+    All ranges of one level of the recursion are disjoint in rank, so
+    their (lo, name) nodes make one graph and one strong-components call
+    settles the level: at most ceil(log2(W+1)) + 1 calls for W distinct
+    weights, each arc in at most one per level, O(m log m) work in all.
 
-    At a leaf rank with threshold w, the arcs there that still join
-    distinct super-nodes lie inside the strong components that form at
-    w, and their weakly connected components are exactly those.  Each
-    one merges under an internal node labeled w, and the certificate set
-    gains an out-tree plus an in-tree over the merged children (arcs at
-    or below w, taken in (weight, edge index) order), at most
-    2*(children-1) original edges per merge.  Internal nodes formed at
-    one weight are numbered in min_leaf order.  Returns (MergeTree,
-    frozenset of certificate edge indexes); the certificate subgraph
-    reproduces every bottleneck round-trip distance exactly.
+    A range [lo, lo] is a leaf, settled in the same call with mid = lo:
+    its arcs lie inside the strong components that form at threshold w =
+    weights[lo].  Each one merges under an internal node labeled w, and
+    the certificate set gains an out-tree plus an in-tree over the merged
+    children (arcs at or below w, taken in (weight, edge index) order),
+    at most 2*(children-1) original edges per merge.  Internal nodes are
+    numbered by rank, then by min_leaf, the least vertex under them.
+    Returns (MergeTree, frozenset of certificate edge indexes); the
+    certificate subgraph reproduces every bottleneck round-trip distance
+    exactly.
     """
     n = g.n
+    src, dst, w = g._edge_arrays()
+    weights, rank = np.unique(w, return_inverse=True)
+    never = len(weights)  # merge rank of arcs that never close a cycle
+    # undecided arcs in (weight, edge index) order, self-loops left out
+    e = np.argsort(rank, kind="stable")
+    e = e[src[e] != dst[e]]
+    a, b, r = src[e], dst[e], rank[e]
+    lo, hi = np.zeros(len(e), dtype=np.int64), np.full(len(e), never)
+    leaf_arcs = []  # (lo, root, a, b, e) of the arcs at each level's leaves
+    while len(e):
+        mid = (lo + hi) // 2
+        keys, idx = np.unique(np.concatenate((lo * n + a, lo * n + b)), return_inverse=True)
+        ia, ib = idx[:len(e)], idx[len(e):]
+        low = r <= mid
+        mat = coo_matrix((np.ones(np.count_nonzero(low)), (ia[low], ib[low])),
+                         shape=(len(keys), len(keys)))
+        _, comp = connected_components(mat, directed=True, connection="strong")
+        # a component lies in one range, where keys ascend with the vertex
+        _, first = np.unique(comp, return_index=True)
+        least = (keys % n)[first][comp]
+        ca, cb = least[ia], least[ib]
+        leaf = lo == hi
+        leaf_arcs += zip(*(x[leaf].tolist() for x in (lo, ca, a, b, e)))
+        right = ~(low & (ca == cb))
+        a, b = np.where(right, ca, a), np.where(right, cb, b)
+        lo, hi = np.where(right, mid + 1, lo), np.where(right, hi, mid)
+        keep = ~leaf & (a != b) & (lo < never)
+        e, a, b, r, lo, hi = e[keep], a[keep], b[keep], r[keep], lo[keep], hi[keep]
+
     label = [0.0] * n
     parent = [-1] * n
     min_leaf = list(range(n))
-    uf = list(range(n))
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    weights = sorted({w for _, _, w in g.edges})
-    rank = {w: r for r, w in enumerate(weights)}
-    src = [u for u, _, _ in g.edges]
-    dst = [v for _, v, _ in g.edges]
-    erank = [rank[w] for _, _, w in g.edges]
-    order = sorted(range(g.m), key=lambda i: (erank[i], i))
-
+    top = list(range(n))  # node of the super-node each least vertex names
     h1 = set()
-    never = len(weights)  # merge rank of arcs that never close a cycle
-    # (lo, hi, undecided arcs in (weight, edge index) order)
-    stack = [(0, never, [e for e in order if src[e] != dst[e]])]
-    while stack:
-        lo, hi, arcs = stack.pop()
-        if lo == never:
-            continue
-        mapped = []
-        for e in arcs:
-            a, b = find(src[e]), find(dst[e])
-            if a != b:  # else joined below lo, so below this arc's weight
-                mapped.append((a, b, e))
-        if lo < hi:
-            mid = (lo + hi) // 2
-            low = [arc for arc in mapped if erank[arc[2]] <= mid]
-            comp = {x: k for k, nodes in enumerate(_scc_of_arcs(low)) for x in nodes}
-            left = []
-            right = []
-            for a, b, e in mapped:
-                if erank[e] <= mid and a in comp and comp[a] == comp.get(b):
-                    left.append(e)
-                else:
-                    right.append(e)
-            if right:
-                stack.append((mid + 1, hi, right))
-            if left:
-                stack.append((lo, mid, left))
-            continue
+    weights = weights.tolist()
+    merge = itemgetter(0, 1)
+    leaf_arcs.sort(key=merge)  # stable: (weight, edge index) order within a merge
+    for (at, root), arcs in groupby(leaf_arcs, key=merge):
         oadj = {}
         iadj = {}
-        for a, b, e in mapped:
-            oadj.setdefault(a, []).append((b, e))
-            iadj.setdefault(b, []).append((a, e))
-        comps = [sorted(c, key=min_leaf.__getitem__)
-                 for c in _scc_of_arcs(mapped)]
-        for kids in sorted(comps, key=lambda c: min_leaf[c[0]]):
-            root = kids[0]
-            h1.update(_span_arcs(root, kids, oadj))
-            h1.update(_span_arcs(root, kids, iadj))
-            node = len(label)
-            label.append(weights[lo])
-            parent.append(-1)
-            min_leaf.append(min_leaf[root])
-            uf.append(node)
-            for x in kids:
-                parent[x] = node
-                uf[x] = node
+        for _, _, x, y, eidx in arcs:
+            oadj.setdefault(x, []).append((y, eidx))
+            iadj.setdefault(y, []).append((x, eidx))
+        kids = sorted(oadj.keys() | iadj.keys())
+        h1.update(_span_arcs(root, kids, oadj))
+        h1.update(_span_arcs(root, kids, iadj))
+        node = len(label)
+        label.append(weights[at])
+        parent.append(-1)
+        min_leaf.append(root)
+        for x in kids:
+            parent[top[x]] = node
+        top[root] = node
     tree = MergeTree(n, label, parent, min_leaf)
     return tree, frozenset(h1)
 

@@ -1,8 +1,12 @@
 """Brute-force oracles and guarantee checks.
 
 Everything here recomputes from scratch by a different route than the
-construction code: dense Floyd-Warshall for distances, threshold sweeps
-with SCC labeling for bottleneck distances.  Oracles work at the numeric
+construction code: dense Floyd-Warshall for distances, and for bottleneck
+distances one threshold sweep per distinct weight, each labeling the
+strong components of the edges at or below it.  The merge tree calls the
+same scipy strong components, so the bottleneck oracle's independence
+rests on that route, not on a different SCC code: no divide and
+conquer, no renaming of super-nodes.  Oracles work at the numeric
 boundary (np.inf for unreachable) since they hand out matrices.
 """
 

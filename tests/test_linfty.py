@@ -12,7 +12,6 @@ from rtspan.cli import generate_graph
 from rtspan.graph import IN, OUT, UNREACHABLE, Graph
 from rtspan.linfty import (
     ContractionBundle,
-    _scc_of_arcs,
     build_scales,
     contract,
     linfty_merge_tree,
@@ -76,10 +75,6 @@ def children_of(tree):
     return [tuple(sorted(k, key=tree.min_leaf.__getitem__)) for k in kids]
 
 
-def arcs_of(g):
-    return [(u, v, i) for i, (u, v, _) in enumerate(g.edges)]
-
-
 def loop_contract(g, sources, x_lo, x_hi, tree):
     """(vertex_map, edge_map, sources, edges) of one window by a loop over
     g.edges: per leader pair at x_lo, the least (weight, edge index) of the
@@ -111,28 +106,6 @@ SCALE_FAMILIES = {
     "ring": ring_with_chords("bs-eq-ring", 30, 6),
     **{f"level:{seed}": level_heavy_graph(seed)[0] for seed in range(6)},
 }
-
-
-class TestSccOfArcs:
-    """The library's only Tarjan; singleton components are left out."""
-
-    def test_bridged_two_cycles(self):
-        g = Graph(4, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0),
-                      (2, 3, 1.0), (3, 2, 1.0)])
-        assert sorted(map(sorted, _scc_of_arcs(arcs_of(g)))) == [[0, 1], [2, 3]]
-
-    def test_partition_and_mutual_reachability(self):
-        g = random_graph("scc", 30, 60, strongly_connected=False)
-        comps = _scc_of_arcs(arcs_of(g))
-        label = {v: i for i, c in enumerate(comps) for v in c}
-        assert len(label) == sum(len(c) for c in comps)
-        _, dist = oracle_one_way_all_pairs(g)
-        for u in range(g.n):
-            for v in range(g.n):
-                if u == v:
-                    continue
-                mutual = np.isfinite(dist[u][v]) and np.isfinite(dist[v][u])
-                assert mutual == (u in label and label[u] == label.get(v))
 
 
 class TestMergeTree:
@@ -227,6 +200,29 @@ class TestMergeTree:
             sub = edge_subgraph(g, h1)
             assert tree_matrix(sub) == tree_matrix(g)
 
+    def test_distance_is_least_mutual_threshold(self):
+        """Against Floyd-Warshall on the edges of weight <= w, one sweep per
+        distinct weight: the distance is the least w at which u and v reach
+        each other, UNREACHABLE when none does."""
+        g = random_graph("scc", 30, 60, strongly_connected=False)
+        want = {}
+        for w in sorted({w for _, _, w in g.edges}):
+            _, dist = oracle_one_way_all_pairs(g, edge_indexes=[i for i, e in enumerate(g.edges) if e[2] <= w])
+            mutual = np.isfinite(dist) & np.isfinite(dist.T)
+            for u, v in zip(*np.nonzero(mutual)):
+                want.setdefault((int(u), int(v)), w)
+        tree, _ = linfty_merge_tree(g)
+        for u in range(g.n):
+            for v in range(g.n):
+                got = tree.distance(u, v)
+                if u == v:
+                    assert got == 0.0
+                elif (u, v) in want:
+                    assert got == want[u, v]
+                else:
+                    assert got is UNREACHABLE
+        assert len(roots_of(tree)) > 1 and tree.size > tree.n
+
 
 # Recorded from the per-weight sweep the merge tree used to run: the
 # divide and conquer must reproduce it.  With continuous weights at most
@@ -293,6 +289,49 @@ GOLDEN_GRID_NODES = {
 }
 
 
+def weak_loops_graph():
+    """Not strongly connected, grid weights, with self-loops and parallel
+    copies of edges at other weights."""
+    g = random_graph("golden-merge-weak", 24, 50, strongly_connected=False)
+    rng = random.Random("fixture:golden-merge-weak-extra")
+    extra = [(v, v, rng.choice((1.0, 1.5, 2.0))) for v in rng.sample(range(g.n), 4)]
+    extra += [(u, v, rng.choice((1.0, 1.5, 2.0))) for u, v, _ in rng.sample(g.edges, 8)]
+    return Graph(g.n, list(g.edges) + extra)
+
+
+# Whole trees recorded from the divide and conquer that ran one hand-written
+# Tarjan pass per rank range: (graph, sorted h1, internal labels, parent,
+# internal min_leaf).  Several components form at one weight in each.
+GOLDEN_WHOLE_TREES = {
+    "weak-loops-parallel": (
+        weak_loops_graph,
+        (0, 3, 6, 8, 12, 16, 17, 20, 21, 22, 25, 26, 30, 31, 32, 33, 34, 38, 42,
+         49, 54, 55, 61),
+        (1.4375, 1.4375, 1.6875, 1.75, 2.0),
+        (27, 28, 26, 24, 26, -1, 27, 26, -1, 24, -1, 24, -1, -1, -1, 28, 28, 28,
+         -1, -1, 25, 24, 25, 24, 26, -1, 27, 28, -1),
+        (3, 20, 2, 0, 0),
+    ),
+    "ring-chords": (
+        lambda: ring_with_chords("golden-merge-ring", 24, 8),
+        (0, 1, 2, 3, 4, 5, 8, 10, 12, 14, 15, 16, 18, 19, 20, 21, 25, 26, 27, 28,
+         29, 32, 33, 34, 35, 36, 37, 38, 40, 42, 43, 44, 45, 47, 48, 49, 51, 52,
+         53, 54, 55),
+        (8.0, 16.0, 32.0, 32.0, 32.0, 64.0, 64.0, 128.0, 128.0, 256.0),
+        (33, 29, 25, 25, 31, 31, 31, 30, 30, 30, 30, 33, 30, 26, 26, 26, 27, 27,
+         32, 28, 28, 28, 24, 24, 32, 29, 30, 33, 32, 33, 31, 33, 33, -1),
+        (22, 2, 13, 16, 19, 1, 7, 4, 18, 0),
+    ),
+    "level-heavy:1": (
+        lambda: level_heavy_graph(1)[0],
+        (0, 2, 4, 8, 10, 11, 13, 16, 17, 19, 21, 23, 24, 25, 27, 28, 29, 30),
+        (64.0, 128.0, 256.0, 2.0 ** 60),
+        (12, 12, 12, 14, 11, 12, 11, 13, 11, 14, 14, 12, 13, 14, -1),
+        (4, 0, 0, 0),
+    ),
+}
+
+
 class TestGoldenMergeTree:
     def test_continuous_weights_whole_tree(self):
         g = generate_graph(60, 240, random.Random("fixture:golden-merge-cont"),
@@ -319,25 +358,38 @@ class TestGoldenMergeTree:
         assert len(nodes) == len(GOLDEN_GRID_NODES)
         assert set(nodes) == GOLDEN_GRID_NODES
 
+    @pytest.mark.parametrize("name", list(GOLDEN_WHOLE_TREES))
+    def test_whole_tree(self, name):
+        make, h1_want, labels, parent, min_leaf = GOLDEN_WHOLE_TREES[name]
+        g = make()
+        tree, h1 = linfty_merge_tree(g)
+        assert sorted(h1) == list(h1_want)
+        assert tuple(tree.label) == (0.0,) * g.n + labels
+        assert tuple(tree.parent) == parent
+        assert tuple(tree.min_leaf) == tuple(range(g.n)) + min_leaf
+
 
 def test_scc_work_is_m_log_distinct_weights(monkeypatch):
-    """Each edge takes part in at most one SCC call per level of the
-    divide and conquer over the weight ranks, plus one at its leaf."""
+    """One strong-components call per level of the divide and conquer over
+    the weight ranks, leaves included, and each edge in at most one arc
+    handed to each call."""
     arcs_seen = []
-    real = rtspan.linfty._scc_of_arcs
+    real = rtspan.linfty.connected_components
 
-    def spy(arcs):
-        arcs_seen.append(len(arcs))
-        return real(arcs)
+    def spy(mat, *args, **kwargs):
+        assert kwargs.get("connection") == "strong"
+        arcs_seen.append(mat.nnz)
+        return real(mat, *args, **kwargs)
 
-    monkeypatch.setattr(rtspan.linfty, "_scc_of_arcs", spy)
+    monkeypatch.setattr(rtspan.linfty, "connected_components", spy)
     g = generate_graph(400, 1600, random.Random("fixture:scc-work"),
                        w_min=1.0, w_max=1000.0, quantum=0)
     distinct = len({w for _, _, w in g.edges})
     tree, _ = linfty_merge_tree(g)
     assert tree.size > tree.n
-    bound = g.m * (math.ceil(math.log2(distinct + 1)) + 1)
-    assert 0 < sum(arcs_seen) <= bound
+    levels = math.ceil(math.log2(distinct + 1)) + 1
+    assert 0 < len(arcs_seen) <= levels
+    assert 0 < sum(arcs_seen) <= g.m * levels
 
 
 class TestContract:
