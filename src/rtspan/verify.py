@@ -1,35 +1,46 @@
-"""Brute-force oracles and guarantee checks.
+"""Guarantee checks and brute-force oracles.
 
-Everything here recomputes from scratch by a different route than the
-construction code: dense Floyd-Warshall for distances, and for bottleneck
-distances one threshold sweep per distinct weight, each labeling the
-strong components of the edges at or below it.  The merge tree calls the
-same scipy strong components, so the bottleneck oracle's independence
-rests on that route, not on a different SCC code: no divide and
-conquer, no renaming of super-nodes.  Oracles work at the numeric
+check_stretch and check_cover read source rows: one out-row and one
+in-row per source (or ball center) from the package's one search,
+distance_matrix, over g and over the graph of the edges they check, so
+2*|S| rows, not n^2 distances.  The oracles recompute by a different
+route than the construction code: dense Floyd-Warshall for distances,
+which cross-checks those rows in the tests, and for bottleneck distances
+one threshold sweep per distinct weight, each labeling the strong
+components of the edges at or below it.  The merge tree calls the same
+scipy strong components, so the bottleneck oracle's independence rests
+on that route, not on a different SCC code: no divide and conquer, no
+renaming of super-nodes.  Checks and oracles work at the numeric
 boundary (np.inf for unreachable) since they hand out matrices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .graph import IN, OUT, UNREACHABLE, Graph, sssp, vertex_ids
+from .graph import IN, OUT, UNREACHABLE, Graph, _csr, distance_matrix, sssp, vertex_ids
 
 
-def _edges_at(g: Graph, edge_indexes):
-    """The edges of g at edge_indexes; ValueError for an index outside [0, m)."""
-    edges = []
-    for i in edge_indexes:
-        if not 0 <= i < g.m:
-            raise ValueError(f"edge index {i} outside [0, {g.m})")
-        edges.append(g.edges[i])
-    return edges
+def _edge_subgraph(g: Graph, edge_indexes) -> Graph:
+    """The Graph on g's vertices of g's edges at edge_indexes, repeats
+    kept; ValueError for an index outside [0, m)."""
+    at = np.fromiter(map(operator.index, edge_indexes), dtype=np.int64)
+    bad = at[(at < 0) | (at >= g.m)]
+    if len(bad):
+        raise ValueError(f"edge index {bad[0]} outside [0, {g.m})")
+    src, dst, w = g._edge_arrays()
+    return Graph._from_arrays(g.n, src[at], dst[at], w[at])
+
+
+def _round_trip_rows(g: Graph, sources) -> np.ndarray:
+    """d(s, v) + d(v, s) for each s in sources (rows) and v in g (columns),
+    np.inf where there is no round trip: one OUT and one IN search each."""
+    return distance_matrix(g, None, sources, OUT) + distance_matrix(g, None, sources, IN)
 
 
 def oracle_one_way_all_pairs(g: Graph, restrict=None, edge_indexes=None):
@@ -45,7 +56,7 @@ def oracle_one_way_all_pairs(g: Graph, restrict=None, edge_indexes=None):
     k = len(ids)
     dist = np.full((k, k), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for u, v, w in g.edges if edge_indexes is None else _edges_at(g, edge_indexes):
+    for u, v, w in (g if edge_indexes is None else _edge_subgraph(g, edge_indexes)).edges:
         iu = pos.get(u)
         iv = pos.get(v)
         if iu is None or iv is None:
@@ -65,9 +76,10 @@ def oracle_round_trip_all_pairs(g: Graph, restrict=None, edge_indexes=None):
 
 def _scc_labels(g: Graph, max_weight):
     """Strong-component labels of g's edges of weight <= max_weight."""
-    src, dst, w = g._edge_arrays()
+    # a pair is kept exactly when its lightest edge is
+    row, col, w, _ = g._weight_pairs()
     keep = w <= max_weight
-    mat = coo_matrix((np.ones(np.count_nonzero(keep)), (src[keep], dst[keep])), shape=(g.n, g.n))
+    mat = _csr(g.n, row[keep], col[keep], w[keep])
     _, labels = connected_components(mat, directed=True, connection="strong")
     return labels
 
@@ -105,17 +117,18 @@ class StretchReport:
 
 
 def check_stretch(g: Graph, subgraph_edges, sources, bound: float) -> StretchReport:
-    """Compare round-trip distances in the subgraph against the host graph
-    for every (source, vertex) pair that is round-trip connected in the
-    host.  A qualifying pair unreachable in the subgraph is an infinite
-    violation; a finite one fails when its ratio exceeds the bound."""
+    """Compare round-trip distances in the subgraph (g's edges at
+    subgraph_edges, repeats allowed) against the host graph for every
+    (source, vertex) pair that is round-trip connected in the host.  A
+    qualifying pair unreachable in the subgraph is an infinite violation;
+    a finite one fails when its ratio exceeds the bound.  Each graph is
+    searched from the sources only, one OUT and one IN row each.
+    """
     if math.isnan(bound):
         raise ValueError("bound must be a number, not NaN")
     srcs = _source_ids(g, sources)
-    _, full = oracle_round_trip_all_pairs(g)
-    _, sub = oracle_round_trip_all_pairs(g, edge_indexes=subgraph_edges)
-    a = full[srcs, :]
-    b = sub[srcs, :]
+    a = _round_trip_rows(g, srcs)
+    b = _round_trip_rows(_edge_subgraph(g, subgraph_edges), srcs)
     qual = np.isfinite(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(a > 0, b / a, 1.0)
@@ -165,6 +178,10 @@ def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
     `radius` shares a ball, and measure each ball's realized round-trip
     radius inside its own tree edges.
 
+    The pairs come from one OUT and one IN row per source in g; a ball's
+    radius is the largest round trip from its center to a member over the
+    graph of its tree edges, from the center's two rows there.
+
     Failure parts carry no radius guarantee and cover nothing; they are
     only counted, in failure_count.  passed reflects coverage only,
     radius_ok is separate.
@@ -178,14 +195,14 @@ def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
     if not r_q >= 0.0:
         raise ValueError("radius must be a non-negative number")
     srcs = _source_ids(g, sources)
-    _, full = oracle_round_trip_all_pairs(g)
+    full = _round_trip_rows(g, srcs)
     masks = np.zeros((len(cover.balls), g.n), dtype=bool)
     for i, b in enumerate(cover.balls):
         masks[i, list(b.members)] = True
     qualifying = 0
     uncovered = []
-    for s in srcs:
-        need = np.where(full[s] <= r_q)[0]
+    for s, row in zip(srcs, full):
+        need = np.flatnonzero(row <= r_q)
         qualifying += len(need)
         has_s = masks[:, s]
         covered = masks[has_s].any(axis=0) if has_s.any() else np.zeros(g.n, dtype=bool)
@@ -196,13 +213,8 @@ def check_cover(g: Graph, cover, sources, radius=None) -> CoverReport:
     balls = [(b.center, b.members, b.rt_tree_edges) for b in cover.balls]
     measured = {}
     for center, members, tree in dict.fromkeys(balls):
-        touched = {center}
-        for u, v, _ in _edges_at(g, tree):
-            touched.add(u)
-            touched.add(v)
-        ids, dist = oracle_one_way_all_pairs(g, restrict=touched, edge_indexes=tree)
-        at = np.searchsorted(ids, [center, *members])  # the center first, at round trip 0
-        measured[center, members, tree] = float(np.max(dist[at[0], at] + dist[at, at[0]]))
+        rt = _round_trip_rows(_edge_subgraph(g, tree), [center])[0]
+        measured[center, members, tree] = float(np.max(rt[[center, *members]]))  # the center at 0
     radii = [measured[b] for b in balls]
 
     radius_bound = 2.0 * (cover.params.c + 1) * cover.r

@@ -29,7 +29,7 @@ from rtspan.graph import (
 )
 from rtspan.linfty import build_scales, linfty_merge_tree
 from rtspan.partition import cluster
-from rtspan.spanner import swrt_spanner
+from rtspan.spanner import swrt_spanner, swrt_spanner_weighted
 from rtspan.verify import (
     check_cover,
     check_stretch,
@@ -394,3 +394,34 @@ def test_c11_size_trend_in_source_count():
            f"{means[32]:.0f}/{means[8]:.0f}/{means[2]:.0f} at s=32/8/2; "
            f"{'; '.join(verdicts)}, {dt:.0f}s")
     assert not significant_reversal
+
+
+def test_c12_beats_spt_union_at_scale():
+    # c11's n = 32 is too small to see s; at n = 400 both constructions
+    # must keep fewer edges than the exact baseline, one shortest-path
+    # out-tree and in-tree per source, and still meet the stretch bound
+    t0 = time.perf_counter()
+    n, k = 400, 2
+    bound = stretch_bound(k, n, CoverParams().c)
+    rows = []
+    losses = []
+    for seed in (1, 2):
+        g = generate_graph(n, 4 * n, random.Random(f"crit12:{seed}:gen"), strongly_connected=True)
+        for s in (16, 32):
+            src = sorted(random.Random(f"crit12:{seed}:src:{s}").sample(range(n), s))
+            spt = set()
+            for v in src:
+                for direction in (OUT, IN):
+                    spt.update(e for e in sssp(g, None, v, direction).parent_edge if e is not None)
+            sizes = []
+            for build in (swrt_spanner, swrt_spanner_weighted):
+                res = build(g, k, src, rng=random.Random(f"crit12:{seed}:{s}:{build.__name__}"))
+                rep = check_stretch(g, res.edges, src, bound)
+                sizes.append(len(res.edges))
+                if not rep.passed or len(res.edges) >= len(spt):
+                    losses.append((seed, s, build.__name__, len(res.edges), len(spt), rep.passed))
+            rows.append(f"{sizes[0]}/{sizes[1]} vs {len(spt)}")
+    dt = time.perf_counter() - t0
+    record(f"criterion 12: {'PASS' if not losses else 'FAIL'} - ER n=400, s=16/32, "
+           f"scales/weighted edges vs SPT union at seed 1 and 2: {', '.join(rows)}; {dt:.0f}s")
+    assert losses == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,10 +8,13 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from conftest import random_graph
-from rtspan.cover import Cover, CoverParams, recursive_cover
+from rtspan.cover import Cover, CoverParams, recursive_cover, swrt_cover
 from rtspan.graph import OUT, BallResult, Graph, round_trip_ball
+from rtspan.spanner import swrt_spanner
 from rtspan.verify import (
+    CoverReport,
     ProbabilityReport,
+    StretchReport,
     _scc_labels,
     check_cover,
     check_stretch,
@@ -227,11 +231,174 @@ class TestCheckCover:
         with pytest.raises(ValueError, match="edge index"):
             check_cover(g, cov, [0])
 
+    def test_member_off_its_tree_has_infinite_radius(self):
+        # the tree reaches vertex 2 but not member 1, so the ball certifies
+        # no round trip to 1; the radius must not be read at vertex 2
+        g = Graph(3, [(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 1.0)])
+        ball = BallResult(0, 2.0, frozenset({0, 1}), frozenset({2, 3}))
+        rep = check_cover(g, Cover((ball,), (), r=1.0, params=CoverParams(), R=2.0), [0])
+        assert rep.ball_radii == (math.inf,) and not rep.radius_ok
+
     def test_source_validation(self):
         g = self.two_cycle()
         cov = Cover((), (), r=1.0, params=CoverParams(), R=8.0)
         with pytest.raises(ValueError, match="source 9 is not a vertex"):
             check_cover(g, cov, [9])
+
+
+def _messy_graph(i, grid):
+    """Seeded graph number i with n <= 60 (n = 1 every 20th), self-loops
+    and parallel edges; even i add a cycle through every vertex, so half
+    are strongly connected.  grid weights are multiples of 1/16 in [1, 4],
+    exact under any summation order; otherwise continuous in [1, 1000]."""
+    rng = random.Random(f"messy:{grid}:{i}")
+    n = 1 if i % 20 == 0 else rng.randint(2, 60)
+    weight = (lambda: rng.randint(16, 64) / 16) if grid else (lambda: rng.uniform(1.0, 1000.0))
+    edges = [(rng.randrange(n), rng.randrange(n), weight()) for _ in range(rng.randint(0, 3 * n))]
+    edges += [(u, v, weight()) for u, v, _ in rng.sample(edges, len(edges) // 4)]
+    edges += [(v, v, weight()) for v in rng.sample(range(n), min(n, 3))]
+    if i % 2 == 0:
+        order = rng.sample(range(n), n)
+        edges += [(order[j - 1], order[j], weight()) for j in range(n)]
+    rng.shuffle(edges)
+    return Graph(n, edges), rng
+
+
+def _fw_stretch_report(g, subgraph_edges, sources, bound):
+    """check_stretch's report, pair by pair from the Floyd-Warshall oracle,
+    and a function giving the oracle's ratio of any pair."""
+    _, full = oracle_round_trip_all_pairs(g)
+    _, sub = oracle_round_trip_all_pairs(g, edge_indexes=subgraph_edges)
+    qual = fin = inf = 0
+    worst_ratio, worst_pair = 1.0, None
+    for s in sorted(set(sources)):
+        for v in range(g.n):
+            a, b = full[s, v], sub[s, v]
+            if a == math.inf:
+                continue
+            qual += 1
+            ratio = b / a if a > 0 else 1.0
+            if b == math.inf:
+                inf += 1
+                if worst_ratio < math.inf:
+                    worst_ratio, worst_pair = math.inf, (s, v)
+            elif ratio > bound + 1e-9:
+                fin += 1
+            if b < math.inf and worst_ratio < math.inf and (worst_pair is None or ratio > worst_ratio):
+                worst_ratio, worst_pair = ratio, (s, v)
+    report = StretchReport(bound, qual, fin, inf, worst_ratio, worst_pair, fin == 0 and inf == 0)
+    return report, lambda s, v: sub[s, v] / full[s, v] if full[s, v] > 0 else 1.0
+
+
+def _fw_cover_report(g, cover, sources, radius):
+    """check_cover's report from the Floyd-Warshall oracle: the round trips
+    of g for the pairs, each ball's tree edges over all of g's vertices
+    for its radius."""
+    _, rt = oracle_round_trip_all_pairs(g)
+    uncovered = []
+    qual = 0
+    for s in sorted(set(sources)):
+        for v in range(g.n):
+            if rt[s, v] <= radius:
+                qual += 1
+                if not any(s in b.members and v in b.members for b in cover.balls):
+                    uncovered.append((s, v))
+    radii = []
+    for b in cover.balls:
+        _, d = oracle_one_way_all_pairs(g, edge_indexes=b.rt_tree_edges)
+        radii.append(float(max(d[b.center, v] + d[v, b.center] for v in (b.center, *b.members))))
+    bound = 2.0 * (cover.params.c + 1) * cover.r
+    top = max(radii, default=0.0)
+    return CoverReport(radius, qual, len(uncovered), tuple(uncovered[:20]), tuple(radii), top,
+                       bound, top <= bound + 1e-9, len(cover.failure_parts), not uncovered)
+
+
+def _close(a, b):
+    return a == b or abs(a - b) <= 1e-12 * abs(b)
+
+
+def _assert_reports_match(got, want, grid, approx_fields, ratio_at=None):
+    """got == want on the grid.  On continuous weights the approx_fields
+    agree to 1e-12, and got's worst_pair is want's or, where two pairs'
+    ratios are equal up to the last bits of their sums, one whose
+    oracle ratio ratio_at gives is within 1e-12 of the worst."""
+    if grid:
+        assert got == want
+        return
+    for f in dataclasses.fields(got):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "worst_pair" and x != y:
+            assert _close(ratio_at(*x), want.worst_ratio), (x, y)
+        elif f.name in approx_fields:
+            xs, ys = (x, y) if isinstance(x, tuple) else ((x,), (y,))
+            assert len(xs) == len(ys), f.name
+            for a, b in zip(xs, ys):
+                assert _close(a, b), (f.name, a, b)
+        else:
+            assert x == y, f.name
+
+
+class TestAgainstFloydWarshall:
+    """check_stretch and check_cover read source rows; the oracle reads all
+    pairs.  On grid weights every sum is exact, so the reports are equal
+    field by field; on continuous weights a round trip may differ in its
+    last bit, so the measured ratios and radii agree to 1e-12."""
+
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_check_stretch(self, grid):
+        kinds = set()
+        for i in range(60):
+            g, rng = _messy_graph(i, grid)
+            sources = rng.sample(range(g.n), rng.randint(1, min(g.n, 8)))
+            sources += sources[:1]  # a repeated source counts once
+            pick = i % 5
+            if pick == 0:
+                sub = [*range(g.m), *range(0, g.m, 3)]  # every edge, some twice
+            elif pick == 1:
+                sub = []
+            elif pick == 2:
+                sub = [e for e in range(g.m) if e != i % max(g.m, 1)]  # all but one
+            elif pick == 3:
+                sub = rng.choices(range(g.m), k=rng.randint(0, g.m)) if g.m else []
+            else:
+                sub = swrt_spanner(g, 2, sources, rng=random.Random(i)).edges if g.n > 1 else [0]
+            bound = rng.choice([1.0, 1.25, 2.0, 4.0])
+            got = check_stretch(g, sub, sources, bound)
+            want, ratio_at = _fw_stretch_report(g, sub, sources, bound)
+            _assert_reports_match(got, want, grid, {"worst_ratio"}, ratio_at)
+            kinds.add((got.passed, got.infinite_violations > 0, got.finite_violations > 0))
+        assert kinds == {(True, False, False), (False, True, False), (False, False, True),
+                         (False, True, True)}
+
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_check_cover(self, grid):
+        outcomes = set()
+        for i in range(60):
+            g, rng = _messy_graph(i, grid)
+            sources = rng.sample(range(g.n), rng.randint(1, min(g.n, 8)))
+            _, rt = oracle_round_trip_all_pairs(g)
+            finite = sorted(set(rt[np.isfinite(rt)].tolist()))
+            at = rng.randrange(len(finite))
+            # a round trip itself on the grid; on continuous weights halfway
+            # to the next larger one, since pairs around one cycle have the
+            # same round trip up to the last bits of its sums
+            above = [x for x in finite[at:] if x > finite[at] * (1 + 1e-9)]
+            radius = finite[at] if grid else (finite[at] + (above[0] if above else 2 * finite[at] + 1)) / 2
+            if i % 2 == 0:
+                cov = swrt_cover(g, 2, radius if radius > 0 else 1.0, sources, rng=random.Random(i))
+            else:
+                cov = recursive_cover(g, max(radius, 1.0) / 8, sources, rng=random.Random(i))
+            if i % 3 == 0 and cov.balls:
+                # a tree that lost edges may no longer reach every member
+                b = cov.balls[0]
+                cut = dataclasses.replace(b, rt_tree_edges=frozenset(sorted(b.rt_tree_edges)[::2]))
+                cov = dataclasses.replace(cov, balls=(cut, *cov.balls))
+            got = check_cover(g, cov, sources, radius=radius)
+            want = _fw_cover_report(g, cov, sources, radius)
+            _assert_reports_match(got, want, grid, {"ball_radii", "max_ball_radius"})
+            outcomes |= {("passed", got.passed), ("radius_ok", got.radius_ok),
+                         ("tree_reaches", got.max_ball_radius < math.inf)}
+        assert len(outcomes) == 6, outcomes
 
 
 class TestProbability:
